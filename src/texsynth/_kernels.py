@@ -1,30 +1,17 @@
-"""Hot numeric kernels: 3x3 convolution and exhaustive patch search.
+"""Hot numeric kernels in plain numpy: 3x3 convolution, its adjoint, and
+exhaustive patch search.
 
-Each kernel has a pure-numpy implementation and, when numba is importable,
-an @njit twin. The active path is chosen at import time; set
-TEXSYNTH_DISABLE_NUMBA=1 to force the numpy fallback. Both paths share
-signatures and are compared in tests and in benchmarks/bench_kernels.py.
+The convolutions run as nine shifted matrix products, one per kernel tap.
+The patch search compares each synthesis window against every exemplar
+window at once through a strided view.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("TEXSYNTH_DISABLE_NUMBA", "") not in ("", "0")
-if _DISABLED:
-    HAS_NUMBA = False
-else:
-    try:
-        from numba import njit
 
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-
-def conv3x3_numpy(x: np.ndarray, kern: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv3x3(x: np.ndarray, kern: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Zero-padded 3x3 convolution, x (h,w,ci), kern (co,ci,3,3) -> (h,w,co)."""
     h, w, _ = x.shape
     xp = np.zeros((h + 2, w + 2, x.shape[2]))
@@ -36,8 +23,8 @@ def conv3x3_numpy(x: np.ndarray, kern: np.ndarray, bias: np.ndarray) -> np.ndarr
     return out
 
 
-def conv3x3_back_numpy(g: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    """Adjoint of conv3x3_numpy w.r.t. its input, g (h,w,co) -> (h,w,ci)."""
+def conv3x3_back(g: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Adjoint of conv3x3 w.r.t. its input, g (h,w,co) -> (h,w,ci)."""
     h, w, _ = g.shape
     gp = np.zeros((h + 2, w + 2, g.shape[2]))
     gp[1:-1, 1:-1] = g
@@ -46,105 +33,6 @@ def conv3x3_back_numpy(g: np.ndarray, kern: np.ndarray) -> np.ndarray:
         for v in range(3):
             out += gp[u : u + h, v : v + w] @ kern[:, :, 2 - u, 2 - v]
     return out
-
-
-def displacement_numpy(synth: np.ndarray, exemplar: np.ndarray, patch: int) -> np.ndarray:
-    """Exhaustive nearest-patch offsets, see displacement_search for the contract."""
-    r = patch // 2
-    hs, ws, _ = synth.shape
-    he, we, _ = exemplar.shape
-    wins = np.lib.stride_tricks.sliding_window_view(exemplar, (patch, patch), axis=(0, 1))
-    out = np.empty((hs - 2 * r, ws - 2 * r, 2), dtype=np.int64)
-    for y in range(r, hs - r):
-        for x in range(r, ws - r):
-            tile = synth[y - r : y + r + 1, x - r : x + r + 1].transpose(2, 0, 1)
-            ssd = ((wins - tile) ** 2).sum(axis=(2, 3, 4))
-            # argmin scans (ey, ex) ascending, so ties resolve to the
-            # lexicographically smallest (dy, dx)
-            ey, ex = np.unravel_index(np.argmin(ssd), ssd.shape)
-            out[y - r, x - r, 0] = ey + r - y
-            out[y - r, x - r, 1] = ex + r - x
-    return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _conv3x3_jit(x, kern, bias):
-        h, w, ci = x.shape
-        co = kern.shape[0]
-        xp = np.zeros((h + 2, w + 2, ci))
-        xp[1 : h + 1, 1 : w + 1] = x
-        out = np.empty((h, w, co))
-        for i in range(h):
-            for j in range(w):
-                for o in range(co):
-                    acc = bias[o]
-                    for u in range(3):
-                        for v in range(3):
-                            for c in range(ci):
-                                acc += xp[i + u, j + v, c] * kern[o, c, u, v]
-                    out[i, j, o] = acc
-        return out
-
-    @njit(cache=True)
-    def _conv3x3_back_jit(g, kern):
-        h, w, co = g.shape
-        ci = kern.shape[1]
-        gp = np.zeros((h + 2, w + 2, co))
-        gp[1 : h + 1, 1 : w + 1] = g
-        out = np.empty((h, w, ci))
-        for i in range(h):
-            for j in range(w):
-                for c in range(ci):
-                    acc = 0.0
-                    for u in range(3):
-                        for v in range(3):
-                            for o in range(co):
-                                acc += gp[i + u, j + v, o] * kern[o, c, 2 - u, 2 - v]
-                    out[i, j, c] = acc
-        return out
-
-    @njit(cache=True)
-    def _displacement_jit(synth, exemplar, patch):
-        r = patch // 2
-        hs, ws, nc = synth.shape
-        he, we, _ = exemplar.shape
-        out = np.empty((hs - 2 * r, ws - 2 * r, 2), dtype=np.int64)
-        for y in range(r, hs - r):
-            for x in range(r, ws - r):
-                best = np.inf
-                bey = 0
-                bex = 0
-                for ey in range(r, he - r):
-                    for ex in range(r, we - r):
-                        ssd = 0.0
-                        for u in range(-r, r + 1):
-                            for v in range(-r, r + 1):
-                                for c in range(nc):
-                                    d = synth[y + u, x + v, c] - exemplar[ey + u, ex + v, c]
-                                    ssd += d * d
-                        if ssd < best:
-                            best = ssd
-                            bey = ey
-                            bex = ex
-                out[y - r, x - r, 0] = bey - y
-                out[y - r, x - r, 1] = bex - x
-        return out
-
-    def conv3x3(x, kern, bias):
-        return _conv3x3_jit(x, kern, bias)
-
-    def conv3x3_back(g, kern):
-        return _conv3x3_back_jit(g, kern)
-
-    def _displacement(synth, exemplar, patch):
-        return _displacement_jit(synth, exemplar, patch)
-
-else:
-    conv3x3 = conv3x3_numpy
-    conv3x3_back = conv3x3_back_numpy
-    _displacement = displacement_numpy
 
 
 def displacement_search(synth: np.ndarray, exemplar: np.ndarray, patch: int) -> np.ndarray:
@@ -161,4 +49,17 @@ def displacement_search(synth: np.ndarray, exemplar: np.ndarray, patch: int) -> 
         raise ValueError("patch size exceeds image dimensions")
     if synth.shape[2] != exemplar.shape[2]:
         raise ValueError("channel counts differ")
-    return _displacement(synth, exemplar, patch)
+    r = patch // 2
+    hs, ws, _ = synth.shape
+    wins = np.lib.stride_tricks.sliding_window_view(exemplar, (patch, patch), axis=(0, 1))
+    out = np.empty((hs - 2 * r, ws - 2 * r, 2), dtype=np.int64)
+    for y in range(r, hs - r):
+        for x in range(r, ws - r):
+            tile = synth[y - r : y + r + 1, x - r : x + r + 1].transpose(2, 0, 1)
+            ssd = ((wins - tile) ** 2).sum(axis=(2, 3, 4))
+            # argmin scans (ey, ex) ascending, so ties resolve to the
+            # lexicographically smallest (dy, dx)
+            ey, ex = np.unravel_index(np.argmin(ssd), ssd.shape)
+            out[y - r, x - r, 0] = ey + r - y
+            out[y - r, x - r, 1] = ex + r - x
+    return out

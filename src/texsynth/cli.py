@@ -4,8 +4,8 @@ Subcommands: synth, eval-ds, eval-klw, bt-fit, project-spectrum, selftest.
 Exit codes: 0 success, 1 runtime failure, 2 invalid input or config.
 Errors go to stderr as one JSON object {"error", "message"}. A JSON
 config file (strict schema) can preset the synth options; explicit flags
-win over config values. TEXSYNTH_THREADS caps internal parallelism and
---jobs fans out over independent images only.
+win over config values. --jobs fans out over independent images only,
+capped by TEXSYNTH_THREADS.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ import concurrent.futures
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import _kernels, bradley_terry, displacement, ggd, losses
+from . import bradley_terry, displacement, ggd, losses
 from . import net as netmod
 from . import optim, selftest, synth
 from .imagecore import RasterFormatError, TooManyScales, read_image, write_image
@@ -147,18 +148,6 @@ def _thread_cap() -> int | None:
     return max(1, cap)
 
 
-def _apply_thread_cap() -> None:
-    cap = _thread_cap()
-    if cap is None or not _kernels.HAS_NUMBA:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(min(cap, numba.get_num_threads()))
-    except Exception:
-        pass
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="texsynth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -230,9 +219,11 @@ _SYNTH_FLAGS = ("exemplar", "out", "session", "curve", "variant", "K", "beta",
                 "arch", "net_seed", "net_weights", "pool", "bits")
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args) -> tuple[RunConfig, synth.SynthSession | None]:
+    """The merged run config, plus the recorded session when replaying."""
+    recorded = None
     if args.replay:
-        cfg = _config_from_session(args.replay)
+        cfg, recorded = _config_from_session(args.replay)
     elif args.config:
         cfg = load_run_config(args.config)
     else:
@@ -241,12 +232,15 @@ def _config_from_args(args) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
-    if args.bits is not None and args.bits not in (8, 16):
-        raise CliError("bits must be 8 or 16")
-    return cfg
+    if cfg.bits not in (8, 16):
+        raise CliError(f"bits must be 8 or 16, got {cfg.bits}")
+    return cfg, recorded
 
 
-def _config_from_session(path) -> RunConfig:
+_FILE_PROVENANCE = re.compile(r"file\((.*), crc32=[0-9a-f]{8}\)", re.DOTALL)
+
+
+def _config_from_session(path) -> tuple[RunConfig, synth.SynthSession]:
     with open(path) as fh:
         obj = json.load(fh)
     try:
@@ -264,6 +258,7 @@ def _config_from_session(path) -> RunConfig:
     cfg.iterations = session.lbfgs["max_iter"]
     cfg.history = session.lbfgs["history"]
     cfg.grad_tol = session.lbfgs["grad_tol"]
+    cfg.bits = session.bits
     if session.exemplar_path is None:
         raise CliError(f"{path}: session lacks an exemplar path; pass --exemplar")
     cfg.exemplar = session.exemplar_path
@@ -273,25 +268,34 @@ def _config_from_session(path) -> RunConfig:
         prov = desc["provenance"]
         if prov.startswith("random(seed="):
             cfg.net_seed = int(prov[len("random(seed=") : -1])
-        elif prov.startswith("file("):
-            cfg.net_weights = prov[len("file(") :].split(",")[0]
+        elif match := _FILE_PROVENANCE.fullmatch(prov):
+            cfg.net_weights = match.group(1)
         else:
             raise CliError(f"{path}: cannot replay net provenance {prov!r}")
-    return cfg
+    return cfg, session
 
 
 def cmd_synth(args) -> int:
-    cfg = _config_from_args(args)
+    cfg, recorded = _config_from_args(args)
     if not cfg.exemplar:
         raise CliError("an exemplar is required (flag --exemplar or config)")
     if not cfg.out:
         raise CliError("an output path is required (flag --out or config)")
     exemplar = read_image(cfg.exemplar)
+    if recorded is not None and synth.exemplar_hash(exemplar) != recorded.exemplar_sha256:
+        raise CliError(f"exemplar at {cfg.exemplar} does not match the session hash")
     variant = synth.MethodVariant.parse(cfg.variant, beta=cfg.beta, K=cfg.K)
     network = None
     if set(variant.terms) & {"gram", "autocorr"}:
         if cfg.net_weights:
             weights = netmod.load_weights(cfg.net_weights)
+            if recorded is not None and (
+                recorded.net_desc is None
+                or weights.provenance != recorded.net_desc["provenance"]
+            ):
+                raise CliError(
+                    f"weights {weights.provenance} do not match the session's network"
+                )
             network = netmod.Network(weights.specs, weights, pool=cfg.pool)
             if network.in_channels != exemplar.c:
                 raise CliError(
@@ -307,14 +311,9 @@ def cmd_synth(args) -> int:
         exemplar, variant, network, cfg.seed, lbfgs=lbfgs,
         layer_weight=cfg.layer_weight, exemplar_path=cfg.exemplar,
     )
-    if args.replay:
-        recorded = synth.SynthSession.from_dict(json.load(open(args.replay)))
-        if recorded.exemplar_sha256 != session.exemplar_sha256:
-            raise CliError(
-                f"exemplar at {cfg.exemplar} does not match the session hash"
-            )
     write_image(result, cfg.out, bits=cfg.bits)
     session.output_path = str(cfg.out)
+    session.bits = cfg.bits
     session_path = cfg.session or str(Path(cfg.out).with_suffix("")) + ".session.json"
     with open(session_path, "w") as fh:
         fh.write(session.to_json())
@@ -474,7 +473,6 @@ def cmd_selftest(args) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    _apply_thread_cap()
     try:
         parser = build_parser()
         args = parser.parse_args(argv)

@@ -61,24 +61,31 @@ def as_array(img) -> np.ndarray:
     return np.asarray(img, dtype=np.float64)
 
 
-def downsample2(img: Image) -> Image:
-    """Halve each dimension by 2x2 box averaging.
+def box_average2(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 block means of an (h, w, c) array and each block's pixel count.
 
     Output dims are ceil(h/2) x ceil(w/2); edge blocks on odd-sized inputs
-    average only the pixels they cover, so outputs stay inside the convex
-    hull of the input values.
+    average only the pixels they cover, and the counts, shape (h2, w2, 1),
+    say how many that was.
     """
-    data = img.data
-    h2 = -(-img.h // 2)
-    w2 = -(-img.w // 2)
-    acc = np.zeros((h2, w2, img.c))
+    h2 = -(-data.shape[0] // 2)
+    w2 = -(-data.shape[1] // 2)
+    acc = np.zeros((h2, w2, data.shape[2]))
     cnt = np.zeros((h2, w2, 1))
     for di in (0, 1):
         for dj in (0, 1):
             sub = data[di::2, dj::2]
             acc[: sub.shape[0], : sub.shape[1]] += sub
             cnt[: sub.shape[0], : sub.shape[1]] += 1.0
-    return Image(acc / cnt)
+    return acc / cnt, cnt
+
+
+def downsample2(img: Image) -> Image:
+    """Halve each dimension by 2x2 box averaging (see box_average2).
+
+    Outputs stay inside the convex hull of the input values.
+    """
+    return Image(box_average2(img.data)[0])
 
 
 def _axis_lerp(data: np.ndarray, target: int, axis: int) -> np.ndarray:
@@ -228,15 +235,8 @@ def write_image(img: Image, path, bits: int = 16) -> None:
     Quantization to `bits` is the only loss: read_image(write_image(x))
     reproduces the quantized raster bit-exactly.
     """
-    raw = quantize(img, bits)
-    maxval = (1 << bits) - 1
-    magic = b"P5" if img.c == 1 else b"P6"
-    header = magic + b"\n%d %d\n%d\n" % (img.w, img.h, maxval)
-    if bits == 16:
-        raw = raw.astype(">u2")
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(raw.tobytes())
+        fh.write(serialize_pnm(img, bits))
 
 
 def serialize_pnm(img: Image, bits: int = 16) -> bytes:

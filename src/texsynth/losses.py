@@ -17,7 +17,6 @@ activates.
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,20 +28,6 @@ DEFAULT_BETA = 1e5
 DEFAULT_LAYER_WEIGHT = 1e9
 
 TERM_NAMES = ("gram", "spectrum", "autocorr")
-
-
-def _arr_to_json(arr: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(arr)
-    return {
-        "shape": list(arr.shape),
-        "dtype": arr.dtype.str,
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
-
-
-def _arr_from_json(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype=np.dtype(obj["dtype"])).reshape(obj["shape"]).copy()
 
 
 def circular_autocorr(channel: np.ndarray) -> np.ndarray:
@@ -63,19 +48,6 @@ class GramTarget:
     grams: dict[str, np.ndarray]
     weights: dict[str, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "grams": {k: _arr_to_json(v) for k, v in self.grams.items()},
-            "weights": dict(self.weights),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GramTarget":
-        return cls(
-            {k: _arr_from_json(v) for k, v in obj["grams"].items()},
-            {k: float(v) for k, v in obj["weights"].items()},
-        )
-
 
 @dataclass
 class SpectrumTarget:
@@ -87,13 +59,6 @@ class SpectrumTarget:
     def shape(self) -> tuple[int, int, int]:
         return self.freq.shape
 
-    def to_dict(self) -> dict:
-        return {"freq": _arr_to_json(self.freq)}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SpectrumTarget":
-        return cls(_arr_from_json(obj["freq"]))
-
 
 @dataclass
 class AutocorrTarget:
@@ -101,19 +66,6 @@ class AutocorrTarget:
 
     spectra: dict[str, np.ndarray]
     weights: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "spectra": {k: _arr_to_json(v) for k, v in self.spectra.items()},
-            "weights": dict(self.weights),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "AutocorrTarget":
-        return cls(
-            {k: _arr_from_json(v) for k, v in obj["spectra"].items()},
-            {k: float(v) for k, v in obj["weights"].items()},
-        )
 
 
 @dataclass

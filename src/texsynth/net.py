@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .imagecore import as_array
+from .imagecore import as_array, box_average2
 
 DEFAULT_STATS_LAYERS = ("conv1_1", "pool1", "pool2", "pool3")
 
@@ -229,18 +229,6 @@ def make_network(arch: str = "vgg-mini", in_channels: int = 3, seed: int = 0,
 _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _avgpool2(x):
-    h, w, m = x.shape
-    h2, w2 = -(-h // 2), -(-w // 2)
-    acc = np.zeros((h2, w2, m))
-    cnt = np.zeros((h2, w2, 1))
-    for di, dj in _POOL_OFFSETS:
-        sub = x[di::2, dj::2]
-        acc[: sub.shape[0], : sub.shape[1]] += sub
-        cnt[: sub.shape[0], : sub.shape[1]] += 1.0
-    return acc / cnt, cnt
-
-
 def _avgpool2_back(g, cnt, h, w):
     out = np.zeros((h, w, g.shape[2]))
     gn = g / cnt
@@ -295,7 +283,7 @@ def _run_forward(net: Network, x: np.ndarray, keep=(), with_cache=False):
             out = np.maximum(x, 0.0)
             aux = x > 0 if with_cache else None
         else:
-            out, aux = _avgpool2(x) if net.pool == "avg" else _maxpool2(x)
+            out, aux = box_average2(x) if net.pool == "avg" else _maxpool2(x)
         if with_cache:
             cache.append((spec, x.shape, aux))
         if spec.name in keep:

@@ -116,6 +116,7 @@ class SynthSession:
     lbfgs: dict
     scales: list[dict] = field(default_factory=list)
     output_path: str | None = None
+    bits: int = 16
 
     def to_dict(self) -> dict:
         return {
@@ -128,7 +129,7 @@ class SynthSession:
             "layer_weight": self.layer_weight,
             "lbfgs": self.lbfgs,
             "scales": self.scales,
-            "output": {"path": self.output_path},
+            "output": {"path": self.output_path, "bits": self.bits},
         }
 
     def to_json(self) -> str:
@@ -148,6 +149,7 @@ class SynthSession:
             lbfgs=obj["lbfgs"],
             scales=list(obj["scales"]),
             output_path=obj["output"]["path"],
+            bits=obj["output"].get("bits", 16),
         )
 
 

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from texsynth import synth
 from texsynth.cli import main
 from texsynth.ggd import LOG_ZERO_SENTINEL
 from texsynth.imagecore import Image, as_array, read_image, write_image
+from texsynth.net import random_weights, save_weights, vgg_mini
 
 
 def smooth_rgb(n=16, phase=0.0):
@@ -23,6 +25,13 @@ def smooth_rgb(n=16, phase=0.0):
 def save_rgb(path, n=16, phase=0.0):
     write_image(smooth_rgb(n, phase), path, bits=16)
     return str(path)
+
+
+def forbid_synthesis(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("synthesis ran")
+
+    monkeypatch.setattr(synth, "synth_multiscale", fail)
 
 
 def read_csv(text):
@@ -71,23 +80,47 @@ class TestSynth:
     def test_replay_reproduces_the_image(self, tmp_path):
         rc, _, out = self.run_tiny(tmp_path, extra=["--seed", "3"])
         assert rc == 0
-        rc = main([
+        assert self.replay(tmp_path) == 0
+        assert (tmp_path / "again.ppm").read_bytes() == out.read_bytes()
+
+    def replay(self, tmp_path):
+        return main([
             "synth", "--replay", str(tmp_path / "out.session.json"),
             "--out", str(tmp_path / "again.ppm"),
         ])
-        assert rc == 0
-        assert (tmp_path / "again.ppm").read_bytes() == out.read_bytes()
 
-    def test_replay_rejects_a_changed_exemplar(self, tmp_path, capsys):
+    def test_replay_rejects_a_changed_exemplar(self, tmp_path, capsys, monkeypatch):
         rc, ex, _ = self.run_tiny(tmp_path)
         assert rc == 0
         save_rgb(ex, phase=1.0)  # overwrite with different pixels
-        rc = main([
-            "synth", "--replay", str(tmp_path / "out.session.json"),
-            "--out", str(tmp_path / "again.ppm"),
-        ])
+        forbid_synthesis(monkeypatch)
+        rc = self.replay(tmp_path)
         assert rc == 2
         assert "does not match the session hash" in stderr_payload(capsys)["message"]
+
+    def test_replay_finds_weights_whose_path_has_a_comma(self, tmp_path):
+        weights = tmp_path / "we,ights.bin"
+        save_weights(random_weights(vgg_mini(3), seed=5), weights)
+        rc, _, out = self.run_tiny(tmp_path, extra=["--net-weights", str(weights)])
+        assert rc == 0
+        assert self.replay(tmp_path) == 0
+        assert (tmp_path / "again.ppm").read_bytes() == out.read_bytes()
+
+    def test_replay_rejects_changed_weights(self, tmp_path, capsys, monkeypatch):
+        weights = tmp_path / "weights.bin"
+        save_weights(random_weights(vgg_mini(3), seed=5), weights)
+        rc, _, _ = self.run_tiny(tmp_path, extra=["--net-weights", str(weights)])
+        assert rc == 0
+        save_weights(random_weights(vgg_mini(3), seed=6), weights)
+        forbid_synthesis(monkeypatch)
+        assert self.replay(tmp_path) == 2
+        assert "do not match the session" in stderr_payload(capsys)["message"]
+
+    def test_replay_of_an_8_bit_run_writes_the_same_bytes(self, tmp_path):
+        rc, _, out = self.run_tiny(tmp_path, extra=["--bits", "8"])
+        assert rc == 0
+        assert self.replay(tmp_path) == 0
+        assert (tmp_path / "again.ppm").read_bytes() == out.read_bytes()
 
     def test_replay_rejects_a_non_session_file(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
@@ -118,6 +151,15 @@ class TestSynth:
         session = json.loads((tmp_path / "cfg_out.session.json").read_text())
         assert session["seed"] == 7
         assert session["lbfgs"]["max_iter"] == 2
+
+    def test_bad_config_bits_exit_2_before_synthesis(self, tmp_path, capsys, monkeypatch):
+        ex = save_rgb(tmp_path / "ex.ppm")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"exemplar": ex, "variant": "gram", "bits": 12}))
+        forbid_synthesis(monkeypatch)
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x.ppm")])
+        assert rc == 2
+        assert "bits must be 8 or 16" in stderr_payload(capsys)["message"]
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

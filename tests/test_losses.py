@@ -5,9 +5,6 @@ import pytest
 
 from texsynth.imagecore import Image
 from texsynth.losses import (
-    AutocorrTarget,
-    GramTarget,
-    SpectrumTarget,
     autocorr_loss,
     autocorr_of,
     autocorr_target,
@@ -221,23 +218,6 @@ class TestAutocorr:
 
 
 class TestTargetsAndTotal:
-    def test_serialization_round_trips(self):
-        rng = np.random.default_rng(14)
-        feats = {"a": rng.standard_normal((4, 4, 2))}
-        gt = gram_target(feats, 2.0)
-        gt2 = GramTarget.from_dict(gt.to_dict())
-        assert np.array_equal(gt2.grams["a"], gt.grams["a"])
-        assert gt2.weights == gt.weights
-
-        st = spectrum_target(rng.random((4, 5, 3)))
-        st2 = SpectrumTarget.from_dict(st.to_dict())
-        assert np.array_equal(st2.freq, st.freq)
-
-        at = autocorr_target(feats, 3.0)
-        at2 = AutocorrTarget.from_dict(at.to_dict())
-        assert np.array_equal(at2.spectra["a"], at.spectra["a"])
-        assert at2.weights == at.weights
-
     def test_unknown_term_rejected(self):
         ex = Image(np.random.default_rng(15).random((8, 8, 3)))
 

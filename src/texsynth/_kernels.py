@@ -1,9 +1,20 @@
 """Hot numeric kernels in plain numpy: 3x3 convolution, its adjoint, and
-exhaustive patch search.
+exact patch search.
 
 The convolutions run as nine shifted matrix products, one per kernel tap.
-The patch search compares each synthesis window against every exemplar
-window at once through a strided view.
+
+The patch search finds, for every synthesis window a, the exemplar window b
+of least SSD |a - b|^2. Candidates come from |a|^2 + |b|^2 - 2 a.b, with
+a.b from one GEMM per block of synthesis rows; a block's temporaries stay
+within a fixed byte budget. With k = patch^2 * channels, u = 2^-53 and
+g(n) = n u / (1 - n u), every candidate within 8 g(k+3) (|a|^2 + max |b|^2)
+of its row's minimum (plus an allowance for underflow) is re-ranked by its
+exact SSD. That margin bounds the rounding of both the GEMM estimate and
+the exact SSD; the derivation is at `displacement_search`. The exact SSD is
+summed in the order the direct per-pixel search summed it, and ties go to
+the smallest raster index of the exemplar window, which is the
+lexicographically smallest (dy, dx). So the map equals the direct search's
+bit for bit, whatever the BLAS summation order or thread count.
 """
 
 from __future__ import annotations
@@ -35,6 +46,39 @@ def conv3x3_back(g: np.ndarray, kern: np.ndarray) -> np.ndarray:
     return out
 
 
+# Byte budget for the temporaries of one search block: the (rows, windows)
+# distance estimates, and each chunk of re-ranked window pairs.
+_SEARCH_BLOCK_BYTES = 16 << 20
+
+
+def _windows(img: np.ndarray, patch: int) -> tuple[int, np.ndarray]:
+    """Window columns, and every window as a (patch, patch * c) row-major block."""
+    win = np.lib.stride_tricks.sliding_window_view(img, (patch, patch), axis=(0, 1))
+    rows, cols = win.shape[:2]
+    flat = np.ascontiguousarray(win.transpose(0, 1, 3, 4, 2))
+    return cols, flat.reshape(rows * cols, patch, -1)
+
+
+def _exact_ssd(a: np.ndarray, b: np.ndarray, one_column: bool) -> np.ndarray:
+    """sum((b - a)**2) for each pair of (patch, patch * c) windows.
+
+    The summation order is the one numpy used when the direct search reduced
+    its (windows - tile) temporary, whose memory layout was
+    (ey, dy, ex, dx, c): a pairwise sum over each contiguous (dx, c) run,
+    then the runs added in dy order. With a single exemplar window column
+    the whole window was one contiguous run.
+    """
+    d = b - a
+    d *= d
+    if one_column:
+        return d.reshape(len(d), -1).sum(axis=1)
+    runs = d.sum(axis=2)
+    ssd = runs[:, 0].copy()
+    for dy in range(1, runs.shape[1]):
+        ssd += runs[:, dy]
+    return ssd
+
+
 def displacement_search(synth: np.ndarray, exemplar: np.ndarray, patch: int) -> np.ndarray:
     """Offsets (dy, dx) of the SSD-nearest exemplar patch for every interior pixel.
 
@@ -49,17 +93,60 @@ def displacement_search(synth: np.ndarray, exemplar: np.ndarray, patch: int) -> 
         raise ValueError("patch size exceeds image dimensions")
     if synth.shape[2] != exemplar.shape[2]:
         raise ValueError("channel counts differ")
-    r = patch // 2
-    hs, ws, _ = synth.shape
-    wins = np.lib.stride_tricks.sliding_window_view(exemplar, (patch, patch), axis=(0, 1))
-    out = np.empty((hs - 2 * r, ws - 2 * r, 2), dtype=np.int64)
-    for y in range(r, hs - r):
-        for x in range(r, ws - r):
-            tile = synth[y - r : y + r + 1, x - r : x + r + 1].transpose(2, 0, 1)
-            ssd = ((wins - tile) ** 2).sum(axis=(2, 3, 4))
-            # argmin scans (ey, ex) ascending, so ties resolve to the
-            # lexicographically smallest (dy, dx)
-            ey, ex = np.unravel_index(np.argmin(ssd), ssd.shape)
-            out[y - r, x - r, 0] = ey + r - y
-            out[y - r, x - r, 1] = ex + r - x
-    return out
+    s_cols, a = _windows(synth, patch)
+    e_cols, b = _windows(exemplar, patch)
+    k = a[0].size
+    a_mat, b_mat = a.reshape(len(a), k), b.reshape(len(b), k)
+    a_sq = np.einsum("ij,ij->i", a_mat, a_mat)
+    b_sq = np.einsum("ij,ij->i", b_mat, b_mat)
+    b_sq_max = b_sq.max()
+    # every pixel lies in some window, so this also rejects NaN and inf input
+    if not np.isfinite(4.0 * (a_sq.max() + b_sq_max)):
+        raise ValueError("non-finite pixel values, or values so large that "
+                         "squared patch distances overflow")
+    # The margin. Let u = 2**-53 and g(n) = n*u / (1 - n*u). For windows a, b
+    # with exact SSD s = |a|^2 + |b|^2 - 2 a.b <= 2 (|a|^2 + |b|^2):
+    # - the estimate e = fl(fl(-2 a.b + |b|^2) + |a|^2) errs by at most
+    #   g(k) |a|^2 + g(k) |b|^2 from the norms, g(k) (|a|^2 + |b|^2) from the
+    #   GEMM's 2 a.b whatever its summation order or thread split, and two
+    #   roundings of values below 2 (|a|^2 + |b|^2):
+    #   |e - s| <= E = 2 g(k+2) (|a|^2 + |b|^2);
+    # - the exact SSD S, summed in any order from k rounded squares of
+    #   rounded differences, errs by at most g(k+2) s <= D = E.
+    # If b* wins the exact ranking and b' has the least estimate, then
+    #   e(b*) <= s(b*) + E <= S(b*) + E + D <= S(b') + E + D <= e(b') + 2E + 2D,
+    # so b* lies within 8 g(k+2) (|a|^2 + max |b|^2) of the row minimum.
+    # Taking g(k+3) adds at least 8u (|a|^2 + max |b|^2). That covers the
+    # rounding of (row minimum + margin), below 2u (|a|^2 + max |b|^2) to
+    # first order, and, at second order, the rounding of the margin itself
+    # and the computed norms standing in for exact ones. A product that
+    # underflows errs by at most half a subnormal, absolutely; 2E + 2D hold
+    # 5k products, which the 8k subnormals added to the margin cover.
+    u = np.finfo(np.float64).eps / 2
+    gamma = (k + 3) * u / (1 - (k + 3) * u)
+    underflow = 8 * k * np.finfo(np.float64).smallest_subnormal
+    best = np.empty(len(a), dtype=np.int64)
+    block = max(1, _SEARCH_BLOCK_BYTES // (8 * len(b)))
+    chunk = max(1, _SEARCH_BLOCK_BYTES // (3 * 8 * k))  # two gathers, one difference
+    for lo in range(0, len(a), block):
+        hi = min(lo + block, len(a))
+        approx = a_mat[lo:hi] @ b_mat.T
+        approx *= -2.0
+        approx += b_sq
+        approx += a_sq[lo:hi, None]
+        margin = 8 * gamma * (a_sq[lo:hi] + b_sq_max) + underflow
+        rows, cols = np.nonzero(approx <= (approx.min(axis=1) + margin)[:, None])
+        ssd = np.concatenate([
+            _exact_ssd(a[lo + rows[i : i + chunk]], b[cols[i : i + chunk]], e_cols == 1)
+            for i in range(0, len(rows), chunk)
+        ])
+        # by row, then exact SSD, then raster index of the exemplar window,
+        # which is the lexicographic (dy, dx) order
+        order = np.lexsort((cols, ssd, rows))
+        rows, cols = rows[order], cols[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        best[lo + rows[first]] = cols[first]
+    ys, xs = np.divmod(np.arange(len(a)), s_cols)
+    eys, exs = np.divmod(best, e_cols)
+    return np.stack([eys - ys, exs - xs], axis=1).reshape(len(a) // s_cols, s_cols, 2)

@@ -275,6 +275,18 @@ def _config_from_session(path) -> tuple[RunConfig, synth.SynthSession]:
     return cfg, session
 
 
+def _absolute_provenance(prov: str) -> str:
+    """A weights-file provenance with its path resolved against the cwd.
+
+    New sessions record absolute paths, so replay works from any directory;
+    a relative path in an older session still resolves as it did then.
+    """
+    match = _FILE_PROVENANCE.fullmatch(prov)
+    if match is None:
+        return prov
+    return f"file({os.path.abspath(match.group(1))}{prov[match.end(1):]}"
+
+
 def cmd_synth(args) -> int:
     cfg, recorded = _config_from_args(args)
     if not cfg.exemplar:
@@ -288,10 +300,11 @@ def cmd_synth(args) -> int:
     network = None
     if set(variant.terms) & {"gram", "autocorr"}:
         if cfg.net_weights:
-            weights = netmod.load_weights(cfg.net_weights)
+            weights = netmod.load_weights(os.path.abspath(cfg.net_weights))
             if recorded is not None and (
                 recorded.net_desc is None
-                or weights.provenance != recorded.net_desc["provenance"]
+                or weights.provenance
+                != _absolute_provenance(recorded.net_desc["provenance"])
             ):
                 raise CliError(
                     f"weights {weights.provenance} do not match the session's network"
@@ -309,7 +322,7 @@ def cmd_synth(args) -> int:
                               grad_tol=cfg.grad_tol)
     result, session = synth.synth_multiscale(
         exemplar, variant, network, cfg.seed, lbfgs=lbfgs,
-        layer_weight=cfg.layer_weight, exemplar_path=cfg.exemplar,
+        layer_weight=cfg.layer_weight, exemplar_path=os.path.abspath(cfg.exemplar),
     )
     write_image(result, cfg.out, bits=cfg.bits)
     session.output_path = str(cfg.out)

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,23 @@ class TestSynth:
         assert rc == 0
         assert self.replay(tmp_path) == 0
         assert (tmp_path / "again.ppm").read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("net_weights", [False, True])
+    def test_replay_from_another_directory(self, tmp_path, monkeypatch, net_weights):
+        monkeypatch.chdir(tmp_path)
+        save_rgb("ex.ppm")
+        extra = []
+        if net_weights:
+            save_weights(random_weights(vgg_mini(3), seed=5), "weights.bin")
+            extra = ["--net-weights", "weights.bin"]
+        rc = main(["synth", "--exemplar", "ex.ppm", "--out", "out.ppm", "--variant", "gram",
+                   "--iterations", "3", "--seed", "0"] + extra)
+        assert rc == 0
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        assert main(["synth", "--replay", "../out.session.json", "--out", "again.ppm"]) == 0
+        again = (tmp_path / "sub" / "again.ppm").read_bytes()
+        assert again == (tmp_path / "out.ppm").read_bytes()
 
     def test_replay_rejects_a_non_session_file(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
@@ -244,6 +265,25 @@ class TestEvalDs:
             assert 0.0 <= float(row[3]) <= 1.0
         disp = read_image(tmp_path / "maps" / "a.disp.ppm")
         assert disp.c == 3
+
+    def test_maps_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        rng = np.random.default_rng(32)
+        write_image(Image(rng.random((32, 32, 3))), tmp_path / "ex.ppm", bits=16)
+        write_image(Image(rng.random((32, 32, 3))), tmp_path / "s.ppm", bits=16)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            subprocess.run(
+                [sys.executable, "-m", "texsynth.cli", "eval-ds",
+                 "--exemplar", str(tmp_path / "ex.ppm"), "--synth", str(tmp_path / "s.ppm"),
+                 "--out", str(out / "ds.csv"), "--disp-dir", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            outputs.append(((out / "ds.csv").read_bytes(), (out / "s.disp.ppm").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_missing_synth_file_exits_2(self, tmp_path, capsys):
         ex = save_rgb(tmp_path / "ex.ppm")

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from texsynth import _kernels
 from texsynth._kernels import conv3x3, conv3x3_back, displacement_search
 
 
@@ -67,6 +70,26 @@ def displacement_oracle(synth, exemplar, patch):
                     if best is None or key < best:
                         best = key
             out[y - r, x - r] = best[1:]
+    return out
+
+
+def direct_search(synth, exemplar, patch):
+    """The pre-GEMM implementation: one full strided SSD per synth pixel.
+
+    Its sums round exactly as the GEMM search's exact re-rank does, so the
+    two agree bit for bit on any input, near-ties included.
+    """
+    r = patch // 2
+    hs, ws, _ = synth.shape
+    wins = np.lib.stride_tricks.sliding_window_view(exemplar, (patch, patch), axis=(0, 1))
+    out = np.empty((hs - 2 * r, ws - 2 * r, 2), dtype=np.int64)
+    for y in range(r, hs - r):
+        for x in range(r, ws - r):
+            tile = synth[y - r : y + r + 1, x - r : x + r + 1].transpose(2, 0, 1)
+            ssd = ((wins - tile) ** 2).sum(axis=(2, 3, 4))
+            ey, ex = np.unravel_index(np.argmin(ssd), ssd.shape)
+            out[y - r, x - r, 0] = ey + r - y
+            out[y - r, x - r, 1] = ex + r - x
     return out
 
 
@@ -136,6 +159,66 @@ class TestDisplacement:
         # interior pixels away from the wraparound seam all agree
         assert np.array_equal(out[4:-4, 4:-4, 0], np.full((4, 4), -2))
         assert np.array_equal(out[4:-4, 4:-4, 1], np.full((4, 4), -3))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), patch=st.sampled_from([1, 3, 5]),
+           channels=st.sampled_from([1, 3]), denom=st.sampled_from([1, 2, 4, 8, 16]))
+    def test_property_matches_exhaustive_oracle_on_coarse_dyadic_grids(
+        self, data, patch, channels, denom
+    ):
+        # values k/denom on a coarse dyadic grid make exact ties frequent,
+        # and sums of their squares are exact, so the oracle's order is moot
+        def image():
+            h = data.draw(st.integers(patch, patch + 4))
+            w = data.draw(st.integers(patch, patch + 4))
+            pixels = data.draw(st.lists(st.integers(0, denom), min_size=h * w * channels,
+                                        max_size=h * w * channels))
+            return np.array(pixels, dtype=np.float64).reshape(h, w, channels) / denom
+
+        synth, exemplar = image(), image()
+        assert np.array_equal(
+            displacement_search(synth, exemplar, patch),
+            displacement_oracle(synth, exemplar, patch),
+        )
+
+    @pytest.mark.parametrize("budget", [None, 64])
+    def test_non_dyadic_values_match_the_direct_search_exactly(self, monkeypatch, budget):
+        # a budget of 64 bytes forces one synth row per block and one
+        # candidate pair per re-rank chunk
+        if budget is not None:
+            monkeypatch.setattr(_kernels, "_SEARCH_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(7)
+
+        def two_level(shape):
+            # ties in exact arithmetic whose float sums depend on the
+            # summation order, and GEMM estimates off from the exact SSD
+            return np.array([0.1, 0.3])[rng.integers(0, 2, shape)]
+
+        cases = [
+            (rng.random((13, 11, 3)), rng.random((12, 14, 3)), 5),
+            (rng.random((9, 10, 1)), rng.random((11, 7, 1)), 3),
+            (rng.random((7, 8, 2)), rng.random((6, 6, 2)), 1),
+            (two_level((12, 11, 3)), two_level((13, 12, 3)), 5),
+            # one exemplar window column, which changes the summation order
+            (two_level((12, 11, 3)), two_level((13, 5, 3)), 5),
+        ]
+        for synth, exemplar, patch in cases:
+            assert np.array_equal(
+                displacement_search(synth, exemplar, patch),
+                direct_search(synth, exemplar, patch),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["synth", "exemplar"])
+    def test_non_finite_input_rejected(self, bad, which):
+        images = {"synth": np.zeros((8, 8, 1)), "exemplar": np.zeros((8, 8, 1))}
+        images[which][7, 0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            displacement_search(images["synth"], images["exemplar"], 3)
+
+    def test_overflowing_values_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            displacement_search(np.full((8, 8, 1), 1e200), np.zeros((8, 8, 1)), 3)
 
     def test_even_patch_rejected(self):
         with pytest.raises(ValueError, match="odd"):

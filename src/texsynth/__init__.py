@@ -31,8 +31,7 @@ from .imagecore import (
     write_image,
 )
 from .losses import (
-    AutocorrTarget,
-    GramTarget,
+    FeatureTarget,
     LossReport,
     SpectrumTarget,
     StatTargets,

@@ -22,28 +22,30 @@ from __future__ import annotations
 import numpy as np
 
 
-def conv3x3(x: np.ndarray, kern: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Zero-padded 3x3 convolution, x (h,w,ci), kern (co,ci,3,3) -> (h,w,co)."""
+def _nine_shifts(x: np.ndarray, taps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out += sum over (u, v) in raster order of shift (u, v) of the
+    zero-padded x times taps[u, v]."""
     h, w, _ = x.shape
     xp = np.zeros((h + 2, w + 2, x.shape[2]))
     xp[1:-1, 1:-1] = x
-    out = np.broadcast_to(bias, (h, w, bias.shape[0])).copy()
     for u in range(3):
         for v in range(3):
-            out += xp[u : u + h, v : v + w] @ kern[:, :, u, v].T
+            out += xp[u : u + h, v : v + w] @ taps[u, v]
     return out
+
+
+def conv3x3(x: np.ndarray, kern: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Zero-padded 3x3 convolution, x (h,w,ci), kern (co,ci,3,3) -> (h,w,co)."""
+    out = np.broadcast_to(bias, x.shape[:2] + bias.shape).copy()
+    # taps[u, v] = kern[:, :, u, v].T
+    return _nine_shifts(x, kern.transpose(2, 3, 1, 0), out)
 
 
 def conv3x3_back(g: np.ndarray, kern: np.ndarray) -> np.ndarray:
     """Adjoint of conv3x3 w.r.t. its input, g (h,w,co) -> (h,w,ci)."""
-    h, w, _ = g.shape
-    gp = np.zeros((h + 2, w + 2, g.shape[2]))
-    gp[1:-1, 1:-1] = g
-    out = np.zeros((h, w, kern.shape[1]))
-    for u in range(3):
-        for v in range(3):
-            out += gp[u : u + h, v : v + w] @ kern[:, :, 2 - u, 2 - v]
-    return out
+    out = np.zeros(g.shape[:2] + (kern.shape[1],))
+    # taps[u, v] = kern[:, :, 2 - u, 2 - v]
+    return _nine_shifts(g, kern[:, :, ::-1, ::-1].transpose(2, 3, 0, 1), out)
 
 
 # Byte budget for the temporaries of one search block: the (rows, windows)

@@ -133,6 +133,25 @@ def _log_likelihood(beta: np.ndarray, wins: np.ndarray) -> float:
     return float(np.sum(wins * -np.logaddexp(0.0, -d)))
 
 
+def _win_prob(beta: np.ndarray) -> np.ndarray:
+    """p[i, j] = 1 / (1 + exp(-(beta_i - beta_j)))."""
+    d = beta[:, None] - beta[None, :]
+    return 1.0 / (1.0 + np.exp(-d))
+
+
+def _nll_hessian(totals: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Hessian of the negative log-likelihood: PSD, null space = const."""
+    w = totals * p * (1.0 - p)
+    return np.diag(w.sum(axis=1)) - w
+
+
+def _check_separation(methods, beta: np.ndarray) -> None:
+    if np.max(np.abs(beta)) > 30.0:
+        raise SeparationDivergence(
+            "strengths diverged: some method separates perfectly", methods, beta,
+        )
+
+
 def bt_fit(data: DuelDataset, tol: float = 1e-10, max_iter: int = 200) -> BTFit:
     """Sum-zero MLE of strengths by damped Newton.
 
@@ -156,19 +175,12 @@ def bt_fit(data: DuelDataset, tol: float = 1e-10, max_iter: int = 200) -> BTFit:
     beta = np.zeros(n)
     ll = _log_likelihood(beta, wins)
     for _ in range(max_iter):
-        d = beta[:, None] - beta[None, :]
-        p = 1.0 / (1.0 + np.exp(-d))
+        p = _win_prob(beta)
         grad = (wins - totals * p).sum(axis=1)
         if np.max(np.abs(grad)) < tol:
             break
-        if np.max(np.abs(beta)) > 30.0:
-            raise SeparationDivergence(
-                "strengths diverged: some method separates perfectly",
-                data.methods, beta,
-            )
-        w = totals * p * (1.0 - p)
-        hess = np.diag(w.sum(axis=1)) - w  # NLL Hessian, PSD, null space = const
-        step = np.linalg.pinv(hess) @ grad
+        _check_separation(data.methods, beta)
+        step = np.linalg.pinv(_nll_hessian(totals, p)) @ grad
         t = 1.0
         for _ in range(40):
             cand = beta + t * step
@@ -182,16 +194,8 @@ def bt_fit(data: DuelDataset, tol: float = 1e-10, max_iter: int = 200) -> BTFit:
             break  # no ascent step left; gradient is numerically flat
     else:
         raise RuntimeError("strength fit did not converge")
-    if np.max(np.abs(beta)) > 30.0:
-        raise SeparationDivergence(
-            "strengths diverged: some method separates perfectly",
-            data.methods, beta,
-        )
-    d = beta[:, None] - beta[None, :]
-    p = 1.0 / (1.0 + np.exp(-d))
-    w = totals * p * (1.0 - p)
-    hess = np.diag(w.sum(axis=1)) - w
-    cov = np.linalg.pinv(hess, hermitian=True)
+    _check_separation(data.methods, beta)
+    cov = np.linalg.pinv(_nll_hessian(totals, _win_prob(beta)), hermitian=True)
     return BTFit(data.methods, beta, cov)
 
 
@@ -218,8 +222,7 @@ def bt_winning_prob(fit: BTFit):
     n = len(fit.methods)
     if n < 2:
         raise ValueError("need at least two methods")
-    d = fit.beta[:, None] - fit.beta[None, :]
-    p = 1.0 / (1.0 + np.exp(-d))
+    p = _win_prob(fit.beta)
     se_p = p * (1.0 - p) * fit.pair_se()
     off = ~np.eye(n, dtype=bool)
     W = np.where(off, p, 0.0).sum(axis=1) / (n - 1)

@@ -97,11 +97,12 @@ def parse_run_config(obj: dict, where: str) -> dict:
         raise CliError(f"{where}: unknown config keys {sorted(unknown)}")
     out = {}
     for key, value in obj.items():
-        if value is None:
-            out[key] = None
-            continue
         try:
-            if key in _INT_KEYS:
+            if value is None:  # null only where the default is None
+                if _RUNCONFIG_TYPES[key].default is not None:
+                    raise TypeError
+                out[key] = None
+            elif key in _INT_KEYS:
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise TypeError
                 out[key] = int(value)
@@ -245,33 +246,32 @@ def _config_from_session(path) -> tuple[RunConfig, synth.SynthSession]:
         obj = json.load(fh)
     try:
         session = synth.SynthSession.from_dict(obj)
+        lbfgs = session.lbfgs
+        values = {"variant": session.variant, "K": session.K, "beta": session.beta,
+                  "seed": session.seed, "layer_weight": session.layer_weight,
+                  "iterations": lbfgs["max_iter"], "history": lbfgs["history"],
+                  "grad_tol": lbfgs["grad_tol"], "bits": session.bits,
+                  "exemplar": session.exemplar_path}
+        desc = session.net_desc
+        if desc is not None:
+            values["pool"] = desc["pool"]
+            prov = desc["provenance"]
+            if prov.startswith("random(seed="):
+                values["net_seed"] = int(prov[len("random(seed=") : -1])
+            elif match := _FILE_PROVENANCE.fullmatch(prov):
+                values["net_weights"] = match.group(1)
+            else:
+                raise CliError(f"{path}: cannot replay net provenance {prov!r}")
     except KeyError as exc:
         raise CliError(f"{path}: not a session file (missing {exc})") from None
+    except (TypeError, AttributeError) as exc:
+        raise CliError(f"{path}: not a session file ({exc})") from None
     cfg = RunConfig()
-    variant = synth.MethodVariant.parse(session.variant, beta=session.beta,
-                                        K=session.K)
-    cfg.variant = variant.to_string()
-    cfg.K = session.K
-    cfg.beta = session.beta
-    cfg.seed = session.seed
-    cfg.layer_weight = session.layer_weight
-    cfg.iterations = session.lbfgs["max_iter"]
-    cfg.history = session.lbfgs["history"]
-    cfg.grad_tol = session.lbfgs["grad_tol"]
-    cfg.bits = session.bits
-    if session.exemplar_path is None:
+    for key, value in parse_run_config(values, str(path)).items():
+        setattr(cfg, key, value)
+    cfg.variant = synth.MethodVariant.parse(cfg.variant, beta=cfg.beta, K=cfg.K).to_string()
+    if cfg.exemplar is None:
         raise CliError(f"{path}: session lacks an exemplar path; pass --exemplar")
-    cfg.exemplar = session.exemplar_path
-    desc = session.net_desc
-    if desc is not None:
-        cfg.pool = desc["pool"]
-        prov = desc["provenance"]
-        if prov.startswith("random(seed="):
-            cfg.net_seed = int(prov[len("random(seed=") : -1])
-        elif match := _FILE_PROVENANCE.fullmatch(prov):
-            cfg.net_weights = match.group(1)
-        else:
-            raise CliError(f"{path}: cannot replay net provenance {prov!r}")
     return cfg, session
 
 
@@ -298,7 +298,7 @@ def cmd_synth(args) -> int:
         raise CliError(f"exemplar at {cfg.exemplar} does not match the session hash")
     variant = synth.MethodVariant.parse(cfg.variant, beta=cfg.beta, K=cfg.K)
     network = None
-    if set(variant.terms) & {"gram", "autocorr"}:
+    if set(variant.terms) & set(losses.FEATURE_TERMS):
         if cfg.net_weights:
             weights = netmod.load_weights(os.path.abspath(cfg.net_weights))
             if recorded is not None and (

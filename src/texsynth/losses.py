@@ -10,6 +10,10 @@ Three terms, each differentiable w.r.t. the synthesized image:
   autocorr  weighted squared L2 distance between per-channel feature
             autocorrelations, held in DFT modulus-squared form.
 
+Each feature term is one per-layer statistic S(f) returned with its
+adjoint (S(f) - target, w) -> cotangent of w |S(f) - target|^2; one loop
+and one target type (FeatureTarget) serve both.
+
 DFT convention is numpy's: unnormalized forward, 1/N inverse. The total
 loss is gram + beta * spectrum + autocorr over whichever terms a variant
 activates.
@@ -28,6 +32,8 @@ DEFAULT_BETA = 1e5
 DEFAULT_LAYER_WEIGHT = 1e9
 
 TERM_NAMES = ("gram", "spectrum", "autocorr")
+# the terms that read network features, in the order their values are summed
+FEATURE_TERMS = ("gram", "autocorr")
 
 
 def circular_autocorr(channel: np.ndarray) -> np.ndarray:
@@ -42,11 +48,17 @@ def circular_autocorr(channel: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class GramTarget:
-    """Per-layer Gram matrices of the exemplar and their loss weights."""
+class FeatureTarget:
+    """Per-layer exemplar statistics of a feature term and their loss
+    weights, given as one scalar or per layer and stored per layer."""
 
-    grams: dict[str, np.ndarray]
+    stats: dict[str, np.ndarray]
     weights: dict[str, float]
+
+    def __post_init__(self):
+        w = self.weights
+        self.weights = {name: float(w if np.isscalar(w) else w[name])
+                        for name in self.stats}
 
 
 @dataclass
@@ -61,18 +73,10 @@ class SpectrumTarget:
 
 
 @dataclass
-class AutocorrTarget:
-    """Per-layer feature autocorrelations in DFT modulus-squared form."""
-
-    spectra: dict[str, np.ndarray]
-    weights: dict[str, float]
-
-
-@dataclass
 class StatTargets:
-    gram: GramTarget | None = None
+    gram: FeatureTarget | None = None
     spectrum: SpectrumTarget | None = None
-    autocorr: AutocorrTarget | None = None
+    autocorr: FeatureTarget | None = None
 
 
 @dataclass
@@ -90,45 +94,60 @@ class LossReport:
     spectrum_distance: float | None = None
 
 
-def gram_of(feats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Gram matrix (m, m) per layer: F^T F / N^2 for F of shape (N, m)."""
-    out = {}
-    for name, f in feats.items():
-        n = f.shape[0] * f.shape[1]
-        fm = f.reshape(n, f.shape[2])
-        out[name] = fm.T @ fm / n**2
-    return out
+def _gram(f: np.ndarray):
+    """Gram matrix F^T F / N^2 of f as F (N, m), and its adjoint
+    (diff, w) -> (4 w / N^2) F diff."""
+    n = f.shape[0] * f.shape[1]
+    fm = f.reshape(n, f.shape[2])
+
+    def adjoint(diff, w):
+        return (4.0 * w / n**2) * (fm @ diff).reshape(f.shape)
+
+    return fm.T @ fm / n**2, adjoint
 
 
-def gram_target(feats: dict[str, np.ndarray], weights) -> GramTarget:
-    grams = gram_of(feats)
-    return GramTarget(grams, _expand_weights(weights, grams))
+def _autocorr(f: np.ndarray):
+    """Per-channel autocorrelation as |fft2 f|^2 / N^2, and its adjoint
+    (diff, w) -> (4 w / N) Re ifft2(diff * fft2 f)."""
+    n = f.shape[0] * f.shape[1]
+    fhat = np.fft.fft2(f, axes=(0, 1))
+
+    def adjoint(diff, w):
+        return (4.0 * w / n) * np.real(np.fft.ifft2(diff * fhat, axes=(0, 1)))
+
+    return np.abs(fhat) ** 2 / n**2, adjoint
 
 
-def _expand_weights(weights, per_layer: dict) -> dict[str, float]:
-    if np.isscalar(weights):
-        return {name: float(weights) for name in per_layer}
-    return {name: float(weights[name]) for name in per_layer}
-
-
-def gram_loss(feats: dict[str, np.ndarray], target: GramTarget):
-    """Value and per-layer feature cotangents of the Gram term."""
-    if set(feats) != set(target.grams):
+def _feature_loss(stat, feats: dict[str, np.ndarray], target: FeatureTarget):
+    """Value sum_l w_l |S(f_l) - target_l|^2 and per-layer feature cotangents."""
+    if set(feats) != set(target.stats):
         raise ValueError(
             f"feature layers {sorted(feats)} do not match target layers "
-            f"{sorted(target.grams)}"
+            f"{sorted(target.stats)}"
         )
     value = 0.0
     cots = {}
     for name, f in feats.items():
-        n = f.shape[0] * f.shape[1]
-        m = f.shape[2]
-        fm = f.reshape(n, m)
-        diff = fm.T @ fm / n**2 - target.grams[name]
+        diff, adjoint = stat(f)
+        diff -= target.stats[name]  # in place: the statistic is a fresh array
         w = target.weights[name]
         value += w * np.sum(diff**2)
-        cots[name] = (4.0 * w / n**2) * (fm @ diff).reshape(f.shape)
+        cots[name] = adjoint(diff, w)
     return value, cots
+
+
+def gram_of(feats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Gram matrix (m, m) per layer: F^T F / N^2 for F of shape (N, m)."""
+    return {name: _gram(f)[0] for name, f in feats.items()}
+
+
+def gram_target(feats: dict[str, np.ndarray], weights) -> FeatureTarget:
+    return FeatureTarget(gram_of(feats), weights)
+
+
+def gram_loss(feats: dict[str, np.ndarray], target: FeatureTarget):
+    """Value and per-layer feature cotangents of the Gram term."""
+    return _feature_loss(_gram, feats, target)
 
 
 def spectrum_target(exemplar) -> SpectrumTarget:
@@ -179,37 +198,16 @@ def spectrum_loss(img, target: SpectrumTarget):
 
 def autocorr_of(feats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Autocorrelation per feature channel as |fft2|^2 / N^2, layer-keyed."""
-    out = {}
-    for name, f in feats.items():
-        n = f.shape[0] * f.shape[1]
-        out[name] = np.abs(np.fft.fft2(f, axes=(0, 1))) ** 2 / n**2
-    return out
+    return {name: _autocorr(f)[0] for name, f in feats.items()}
 
 
-def autocorr_target(feats: dict[str, np.ndarray], weights) -> AutocorrTarget:
-    spectra = autocorr_of(feats)
-    return AutocorrTarget(spectra, _expand_weights(weights, spectra))
+def autocorr_target(feats: dict[str, np.ndarray], weights) -> FeatureTarget:
+    return FeatureTarget(autocorr_of(feats), weights)
 
 
-def autocorr_loss(feats: dict[str, np.ndarray], target: AutocorrTarget):
+def autocorr_loss(feats: dict[str, np.ndarray], target: FeatureTarget):
     """Value and per-layer feature cotangents of the autocorrelation term."""
-    if set(feats) != set(target.spectra):
-        raise ValueError(
-            f"feature layers {sorted(feats)} do not match target layers "
-            f"{sorted(target.spectra)}"
-        )
-    value = 0.0
-    cots = {}
-    for name, f in feats.items():
-        n = f.shape[0] * f.shape[1]
-        fhat = np.fft.fft2(f, axes=(0, 1))
-        diff = np.abs(fhat) ** 2 / n**2 - target.spectra[name]
-        w = target.weights[name]
-        value += w * np.sum(diff**2)
-        cots[name] = (4.0 * w / n) * np.real(
-            np.fft.ifft2(diff * fhat, axes=(0, 1))
-        )
-    return value, cots
+    return _feature_loss(_autocorr, feats, target)
 
 
 def compute_targets(exemplar, cfg, network=None, layers=None,
@@ -224,16 +222,16 @@ def compute_targets(exemplar, cfg, network=None, layers=None,
     if unknown:
         raise ValueError(f"unknown loss terms: {sorted(unknown)}")
     targets = StatTargets()
-    if terms & {"gram", "autocorr"}:
+    if terms & set(FEATURE_TERMS):
         if network is None:
             raise ValueError("feature-statistics terms need a network")
         if layers is None:
             layers = [n for n in netmod.DEFAULT_STATS_LAYERS if n in network.names]
         feats = netmod.forward(network, exemplar, layers)
-        if "gram" in terms:
-            targets.gram = gram_target(feats, layer_weight)
-        if "autocorr" in terms:
-            targets.autocorr = autocorr_target(feats, layer_weight)
+        term_targets = {"gram": gram_target, "autocorr": autocorr_target}
+        for term in FEATURE_TERMS:
+            if term in terms:
+                setattr(targets, term, term_targets[term](feats, layer_weight))
     if "spectrum" in terms:
         targets.spectrum = spectrum_target(exemplar)
     return targets
@@ -244,42 +242,31 @@ def total_loss(img, cfg, targets: StatTargets, network=None) -> LossReport:
     data = _as_array(img)
     terms = set(cfg.terms)
     beta = getattr(cfg, "beta", DEFAULT_BETA)
+    for term in TERM_NAMES:
+        if term in terms and getattr(targets, term) is None:
+            raise ValueError(f"{term} term active but no {term} target")
     report_terms = {}
     grad = np.zeros_like(data)
     spectrum_distance = None
 
-    feature_layers = set()
-    if "gram" in terms:
-        if targets.gram is None:
-            raise ValueError("gram term active but no gram target")
-        feature_layers |= set(targets.gram.grams)
-    if "autocorr" in terms:
-        if targets.autocorr is None:
-            raise ValueError("autocorr term active but no autocorr target")
-        feature_layers |= set(targets.autocorr.spectra)
-
+    active = {term: getattr(targets, term) for term in FEATURE_TERMS if term in terms}
+    feature_layers = set().union(*(target.stats for target in active.values()))
     if feature_layers:
         if network is None:
             raise ValueError("feature-statistics terms need a network")
         feats, pull = netmod.forward_with_pullback(network, data, sorted(feature_layers))
         cots = {name: np.zeros_like(f) for name, f in feats.items()}
-        if "gram" in terms:
-            sub = {name: feats[name] for name in targets.gram.grams}
-            value, term_cots = gram_loss(sub, targets.gram)
-            report_terms["gram"] = value
-            for name, c in term_cots.items():
-                cots[name] += c
-        if "autocorr" in terms:
-            sub = {name: feats[name] for name in targets.autocorr.spectra}
-            value, term_cots = autocorr_loss(sub, targets.autocorr)
-            report_terms["autocorr"] = value
+        # looked up per call, so that rebinding a module-level name takes effect
+        term_losses = {"gram": gram_loss, "autocorr": autocorr_loss}
+        for term, target in active.items():
+            sub = {name: feats[name] for name in target.stats}
+            value, term_cots = term_losses[term](sub, target)
+            report_terms[term] = value
             for name, c in term_cots.items():
                 cots[name] += c
         grad += pull(cots)
 
     if "spectrum" in terms:
-        if targets.spectrum is None:
-            raise ValueError("spectrum term active but no spectrum target")
         value, sgrad = spectrum_loss(data, targets.spectrum)
         spectrum_distance = value
         report_terms["spectrum"] = beta * value

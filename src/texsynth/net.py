@@ -365,8 +365,5 @@ def backward(net: Network, img, cotangents: dict[str, np.ndarray]) -> np.ndarray
     spreads by the window's true pixel count, max pooling routes to the
     first maximum.
     """
-    x = _as_array(net, img)
-    dims = net.layer_dims(x.shape[0], x.shape[1])
-    _check_cotangents(net, dims, cotangents)
-    _, cache = _run_forward(net, x, with_cache=True)
-    return _pullback(net, cache, cotangents, x.shape)
+    _, pull = forward_with_pullback(net, img, ())
+    return pull(cotangents)

@@ -180,10 +180,6 @@ def _channel_stats(img: Image):
     return data.mean(axis=(0, 1)), data.std(axis=(0, 1))
 
 
-def _needs_net(variant: MethodVariant) -> bool:
-    return bool(set(variant.terms) & {"gram", "autocorr"})
-
-
 def synth_single_scale(exemplar: Image, variant: MethodVariant,
                        network: netmod.Network | None, seed: int,
                        init: Image | None = None,
@@ -207,7 +203,7 @@ def synth_single_scale(exemplar: Image, variant: MethodVariant,
     lbfgs = lbfgs or optim.LbfgsConfig()
 
     kept, dropped = [], []
-    if _needs_net(variant):
+    if set(variant.terms) & set(losses.FEATURE_TERMS):
         if network is None:
             raise ValueError("feature-statistics terms need a network")
         kept, dropped = active_stats_layers(network, exemplar.h, exemplar.w, stats_layers)

@@ -150,6 +150,27 @@ class TestSynth:
         assert rc == 2
         assert "not a session file" in stderr_payload(capsys)["message"]
 
+    @pytest.mark.parametrize("malform", [
+        lambda s: {**s, "lbfgs": {}},
+        lambda s: {**s, "net": {k: v for k, v in s["net"].items() if k != "provenance"}},
+        lambda s: [s],
+        lambda s: {**s, "exemplar": s["exemplar"]["path"]},
+        lambda s: {**s, "variant": None},
+        lambda s: {**s, "seed": 0.5},
+    ], ids=["empty-lbfgs", "net-without-provenance", "top-level-list",
+            "exemplar-as-string", "null-variant", "float-seed"])
+    def test_replay_of_a_malformed_session_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                   malform):
+        rc, _, _ = self.run_tiny(tmp_path)
+        assert rc == 0
+        session_path = tmp_path / "out.session.json"
+        session = json.loads(session_path.read_text())
+        session_path.write_text(json.dumps(malform(session)))
+        capsys.readouterr()
+        forbid_synthesis(monkeypatch)
+        assert self.replay(tmp_path) == 2
+        assert stderr_payload(capsys)["error"] == "CliError"
+
     def test_curve_csv_lists_losses_per_scale(self, tmp_path):
         curve = tmp_path / "curve.csv"
         rc, _, _ = self.run_tiny(tmp_path, extra=["--curve", str(curve)])
@@ -195,6 +216,13 @@ class TestSynth:
         rc = main(["synth", "--config", str(cfg)])
         assert rc == 2
         assert "bad type for key 'seed'" in stderr_payload(capsys)["message"]
+
+    def test_null_config_value_without_a_null_default_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variant": None}))
+        rc = main(["synth", "--config", str(cfg)])
+        assert rc == 2
+        assert "bad type for key 'variant'" in stderr_payload(capsys)["message"]
 
     def test_missing_exemplar_flag_exits_2(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "x.ppm")])

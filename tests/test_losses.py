@@ -1,5 +1,12 @@
 """Statistics targets, loss terms, and their gradients."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -280,3 +287,38 @@ class TestTargetsAndTotal:
         grad = total_loss(x, variant, targets, net).grad
         num = fd_grad(value, x)
         assert np.abs(grad - num).max() / max(np.abs(num).max(), 1e-12) < 1e-6
+
+
+TRACED_LOSS = textwrap.dedent("""
+    import json
+    import sys
+
+    import numpy as np
+
+    sys.path[:0] = sys.argv[1:3]
+    import tracing
+    from texsynth import losses, net, synth
+
+    tracer = tracing.Tracer("test")
+    tracing.install(tracer)
+    rng = np.random.default_rng(0)
+    ex, img = rng.random((32, 32, 3)), rng.random((32, 32, 3))
+    network = net.make_network(seed=0)
+    variant = synth.MethodVariant.parse("gram+spectrum+autocorr")
+    targets = losses.compute_targets(ex, variant, network)
+    losses.total_loss(img, variant, targets, network)
+    print(json.dumps(sorted({span[0] for span in tracer.spans})))
+""")
+
+
+def test_tracer_hooks_fire_on_the_loss_path():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_LOSS, str(root / "perfbench"), str(root / "src")],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    names = set(json.loads(proc.stdout))
+    assert {"losses.gram", "losses.autocorr", "losses.spectrum", "losses.total_loss",
+            "net.forward", "net.pullback", "kernels.conv_fwd", "kernels.conv_adj",
+            "synth.targets"} <= names

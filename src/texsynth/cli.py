@@ -2,10 +2,11 @@
 
 Subcommands: synth, eval-ds, eval-klw, bt-fit, project-spectrum, selftest.
 Exit codes: 0 success, 1 runtime failure, 2 invalid input or config.
-Errors go to stderr as one JSON object {"error", "message"}. A JSON
-config file (strict schema) can preset the synth options; explicit flags
-win over config values. --jobs fans out over independent images only,
-capped by TEXSYNTH_THREADS.
+Errors go to stderr as one JSON object {"error", "message"}. The synth
+options are the fields of RunConfig: each is a flag and a key of the JSON
+config file (strict schema; the key has `_` where the flag has `-`). A
+--config file or a --replay session presets them; explicit flags win.
+--jobs fans out over independent images only, capped by TEXSYNTH_THREADS.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,77 +57,75 @@ _RUNTIME_ERRORS = (
 )
 
 
+def _option(default, help=None):
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass
 class RunConfig:
-    """Everything the synth subcommand needs; mirrors the config file schema."""
+    """The synth options, listed once: each field is a flag and a config key.
 
-    exemplar: str | None = None
-    out: str | None = None
-    session: str | None = None
-    curve: str | None = None
-    variant: str = "gram+spectrum+msinit"
-    K: int = synth.DEFAULT_K
-    beta: float = losses.DEFAULT_BETA
-    seed: int = 0
-    iterations: int = 2000
-    history: int = 10
-    grad_tol: float = 1e-8
-    layer_weight: float = losses.DEFAULT_LAYER_WEIGHT
-    arch: str = "vgg-mini"
-    net_seed: int = 0
-    net_weights: str | None = None
-    pool: str = "avg"
-    bits: int = 16
+    The flag is `--` + the name with `_` as `-`. A field's default fixes
+    its type; a field that defaults to None is a str path. Values no run
+    can use raise CliError.
+    """
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+    exemplar: str | None = _option(None, "input PPM/PGM exemplar")
+    out: str | None = _option(None, "output image path")
+    session: str | None = _option(None, "session JSON path (default: out stem + .session.json)")
+    curve: str | None = _option(None, "write per-scale loss curves to this CSV")
+    variant: str = _option("gram+spectrum+msinit", "loss terms, e.g. gram+spectrum+msinit")
+    K: int = _option(synth.DEFAULT_K, "pyramid depth for msinit")
+    beta: float = _option(losses.DEFAULT_BETA, "spectrum term weight")
+    seed: int = _option(0, "noise seed")
+    iterations: int = _option(2000, "iteration cap per scale")
+    history: int = _option(10, "curvature pairs kept")
+    grad_tol: float = _option(1e-8)
+    layer_weight: float = _option(losses.DEFAULT_LAYER_WEIGHT)
+    arch: str = _option("vgg-mini", "network architecture name")
+    net_seed: int = _option(0, "random weights seed")
+    net_weights: str | None = _option(None, "weights file to load")
+    pool: str = _option("avg")
+    bits: int = _option(16, "output sample depth")
+
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("iterations", self.iterations >= 0, ">= 0"),
+            ("history", self.history >= 0, ">= 0"),
+            ("grad_tol", self.grad_tol >= 0, ">= 0"),  # False for NaN
+            ("beta", math.isfinite(self.beta), "finite"),
+            ("layer_weight", math.isfinite(self.layer_weight), "finite"),
+            ("bits", self.bits in (8, 16), "8 or 16"),
+            ("pool", self.pool in ("avg", "max"), "avg or max"),
+        ):
+            if not ok:
+                raise CliError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
-_RUNCONFIG_TYPES = {f.name: f for f in fields(RunConfig)}
-_STR_KEYS = {"exemplar", "out", "session", "curve", "variant", "arch",
-             "net_weights", "pool"}
-_INT_KEYS = {"K", "seed", "iterations", "history", "net_seed", "bits"}
-_FLOAT_KEYS = {"beta", "grad_tol", "layer_weight"}
+def _option_type(f) -> type:
+    return str if f.default is None else type(f.default)
 
 
 def parse_run_config(obj: dict, where: str) -> dict:
     """Validate a config dict strictly; returns coerced key/value pairs."""
     if not isinstance(obj, dict):
         raise CliError(f"{where}: config must be a JSON object")
-    unknown = set(obj) - set(_RUNCONFIG_TYPES)
+    options = {f.name: f for f in fields(RunConfig)}
+    unknown = set(obj) - set(options)
     if unknown:
         raise CliError(f"{where}: unknown config keys {sorted(unknown)}")
     out = {}
     for key, value in obj.items():
-        try:
-            if value is None:  # null only where the default is None
-                if _RUNCONFIG_TYPES[key].default is not None:
-                    raise TypeError
-                out[key] = None
-            elif key in _INT_KEYS:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise TypeError
-                out[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise TypeError
-                out[key] = float(value)
-            elif key in _STR_KEYS:
-                if not isinstance(value, str):
-                    raise TypeError
-                out[key] = value
-        except TypeError:
-            raise CliError(f"{where}: bad type for key {key!r}") from None
+        kind = _option_type(options[key])
+        if value is None and options[key].default is None:
+            out[key] = None
+        elif isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else kind
+        ):
+            raise CliError(f"{where}: bad type for key {key!r}")
+        else:
+            out[key] = kind(value)
     return out
-
-
-def load_run_config(path) -> RunConfig:
-    with open(path) as fh:
-        obj = json.load(fh)
-    cfg = RunConfig()
-    for key, value in parse_run_config(obj, str(path)).items():
-        setattr(cfg, key, value)
-    return cfg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,23 +156,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="synthesize a texture from an exemplar")
     p.add_argument("--config", help="JSON config file (strict schema)")
     p.add_argument("--replay", help="session JSON to reproduce bit for bit")
-    p.add_argument("--exemplar", help="input PPM/PGM exemplar")
-    p.add_argument("--out", help="output image path")
-    p.add_argument("--session", help="session JSON path (default: out stem + .session.json)")
-    p.add_argument("--curve", help="write per-scale loss curves to this CSV")
-    p.add_argument("--variant", help="loss terms, e.g. gram+spectrum+msinit")
-    p.add_argument("--K", type=int, help="pyramid depth for msinit")
-    p.add_argument("--beta", type=float, help="spectrum term weight")
-    p.add_argument("--seed", type=int, help="noise seed")
-    p.add_argument("--iterations", type=int, help="iteration cap per scale")
-    p.add_argument("--history", type=int, help="curvature pairs kept")
-    p.add_argument("--grad-tol", type=float, dest="grad_tol")
-    p.add_argument("--layer-weight", type=float, dest="layer_weight")
-    p.add_argument("--arch", help="network architecture name")
-    p.add_argument("--net-seed", type=int, dest="net_seed", help="random weights seed")
-    p.add_argument("--net-weights", dest="net_weights", help="weights file to load")
-    p.add_argument("--pool", choices=("avg", "max"))
-    p.add_argument("--bits", type=int, choices=(8, 16), help="output sample depth")
+    for f in fields(RunConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=_option_type(f),
+                       help=f.metadata["help"])
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval-ds", help="displacement maps and copy scores")
@@ -215,47 +201,40 @@ def build_parser() -> _Parser:
     return parser
 
 
-_SYNTH_FLAGS = ("exemplar", "out", "session", "curve", "variant", "K", "beta",
-                "seed", "iterations", "history", "grad_tol", "layer_weight",
-                "arch", "net_seed", "net_weights", "pool", "bits")
-
-
 def _config_from_args(args) -> tuple[RunConfig, synth.SynthSession | None]:
-    """The merged run config, plus the recorded session when replaying."""
-    recorded = None
+    """The merged run config, plus the recorded session when replaying.
+
+    Flags win over the values of the session or the config file.
+    """
+    values, recorded = {}, None
     if args.replay:
-        cfg, recorded = _config_from_session(args.replay)
+        values, recorded = _config_from_session(args.replay)
     elif args.config:
-        cfg = load_run_config(args.config)
-    else:
-        cfg = RunConfig()
-    for name in _SYNTH_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if cfg.bits not in (8, 16):
-        raise CliError(f"bits must be 8 or 16, got {cfg.bits}")
-    return cfg, recorded
+        with open(args.config) as fh:
+            values = parse_run_config(json.load(fh), args.config)
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name) is not None}
+    return RunConfig(**{**values, **flags}), recorded
 
 
 _FILE_PROVENANCE = re.compile(r"file\((.*), crc32=[0-9a-f]{8}\)", re.DOTALL)
 
 
-def _config_from_session(path) -> tuple[RunConfig, synth.SynthSession]:
+def _config_from_session(path) -> tuple[dict, synth.SynthSession]:
+    """The config values a session recorded, and the session itself."""
     with open(path) as fh:
         obj = json.load(fh)
     try:
-        session = synth.SynthSession.from_dict(obj)
+        session = synth.SynthSession(**obj)
         lbfgs = session.lbfgs
         values = {"variant": session.variant, "K": session.K, "beta": session.beta,
                   "seed": session.seed, "layer_weight": session.layer_weight,
                   "iterations": lbfgs["max_iter"], "history": lbfgs["history"],
-                  "grad_tol": lbfgs["grad_tol"], "bits": session.bits,
-                  "exemplar": session.exemplar_path}
-        desc = session.net_desc
-        if desc is not None:
-            values["pool"] = desc["pool"]
-            prov = desc["provenance"]
+                  "grad_tol": lbfgs["grad_tol"], "exemplar": session.exemplar["path"],
+                  "bits": session.output.get("bits", 16)}  # older sessions lack bits
+        if session.net is not None:
+            values["pool"] = session.net["pool"]
+            prov = session.net["provenance"]
             if prov.startswith("random(seed="):
                 values["net_seed"] = int(prov[len("random(seed=") : -1])
             elif match := _FILE_PROVENANCE.fullmatch(prov):
@@ -266,13 +245,7 @@ def _config_from_session(path) -> tuple[RunConfig, synth.SynthSession]:
         raise CliError(f"{path}: not a session file (missing {exc})") from None
     except (TypeError, AttributeError) as exc:
         raise CliError(f"{path}: not a session file ({exc})") from None
-    cfg = RunConfig()
-    for key, value in parse_run_config(values, str(path)).items():
-        setattr(cfg, key, value)
-    cfg.variant = synth.MethodVariant.parse(cfg.variant, beta=cfg.beta, K=cfg.K).to_string()
-    if cfg.exemplar is None:
-        raise CliError(f"{path}: session lacks an exemplar path; pass --exemplar")
-    return cfg, session
+    return parse_run_config(values, str(path)), session
 
 
 def _absolute_provenance(prov: str) -> str:
@@ -294,7 +267,7 @@ def cmd_synth(args) -> int:
     if not cfg.out:
         raise CliError("an output path is required (flag --out or config)")
     exemplar = read_image(cfg.exemplar)
-    if recorded is not None and synth.exemplar_hash(exemplar) != recorded.exemplar_sha256:
+    if recorded is not None and synth.exemplar_hash(exemplar) != recorded.exemplar.get("sha256"):
         raise CliError(f"exemplar at {cfg.exemplar} does not match the session hash")
     variant = synth.MethodVariant.parse(cfg.variant, beta=cfg.beta, K=cfg.K)
     network = None
@@ -302,9 +275,8 @@ def cmd_synth(args) -> int:
         if cfg.net_weights:
             weights = netmod.load_weights(os.path.abspath(cfg.net_weights))
             if recorded is not None and (
-                recorded.net_desc is None
-                or weights.provenance
-                != _absolute_provenance(recorded.net_desc["provenance"])
+                recorded.net is None
+                or weights.provenance != _absolute_provenance(recorded.net["provenance"])
             ):
                 raise CliError(
                     f"weights {weights.provenance} do not match the session's network"
@@ -325,8 +297,7 @@ def cmd_synth(args) -> int:
         layer_weight=cfg.layer_weight, exemplar_path=os.path.abspath(cfg.exemplar),
     )
     write_image(result, cfg.out, bits=cfg.bits)
-    session.output_path = str(cfg.out)
-    session.bits = cfg.bits
+    session.output = {"path": str(cfg.out), "bits": cfg.bits}
     session_path = cfg.session or str(Path(cfg.out).with_suffix("")) + ".session.json"
     with open(session_path, "w") as fh:
         fh.write(session.to_json())

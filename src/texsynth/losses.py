@@ -226,7 +226,7 @@ def compute_targets(exemplar, cfg, network=None, layers=None,
         if network is None:
             raise ValueError("feature-statistics terms need a network")
         if layers is None:
-            layers = [n for n in netmod.DEFAULT_STATS_LAYERS if n in network.names]
+            layers = network.default_stats_layers()
         feats = netmod.forward(network, exemplar, layers)
         term_targets = {"gram": gram_target, "autocorr": autocorr_target}
         for term in FEATURE_TERMS:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,7 +90,7 @@ def active_stats_layers(network: netmod.Network, h: int, w: int,
     """Stats layers whose feature maps are at least 2x2 at h x w input,
     plus the list of layers dropped by that rule."""
     if stats_layers is None:
-        stats_layers = [n for n in netmod.DEFAULT_STATS_LAYERS if n in network.names]
+        stats_layers = network.default_stats_layers()
     dims = network.layer_dims(h, w)
     kept, dropped = [], []
     for name in stats_layers:
@@ -103,54 +103,24 @@ def active_stats_layers(network: netmod.Network, h: int, w: int,
 
 @dataclass
 class SynthSession:
-    """Everything needed to replay a run and audit its loss curves."""
+    """Everything needed to replay a run and audit its loss curves.
 
-    exemplar_path: str | None
-    exemplar_sha256: str
+    The fields are the session JSON's top-level keys.
+    """
+
+    exemplar: dict  # {"path", "sha256"}
     variant: str
     beta: float
     K: int
     seed: int
-    net_desc: dict
+    net: dict | None
     layer_weight: float
     lbfgs: dict
-    scales: list[dict] = field(default_factory=list)
-    output_path: str | None = None
-    bits: int = 16
-
-    def to_dict(self) -> dict:
-        return {
-            "exemplar": {"path": self.exemplar_path, "sha256": self.exemplar_sha256},
-            "variant": self.variant,
-            "beta": self.beta,
-            "K": self.K,
-            "seed": self.seed,
-            "net": self.net_desc,
-            "layer_weight": self.layer_weight,
-            "lbfgs": self.lbfgs,
-            "scales": self.scales,
-            "output": {"path": self.output_path, "bits": self.bits},
-        }
+    scales: list[dict]
+    output: dict  # {"path", "bits"}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SynthSession":
-        return cls(
-            exemplar_path=obj["exemplar"]["path"],
-            exemplar_sha256=obj["exemplar"]["sha256"],
-            variant=obj["variant"],
-            beta=obj["beta"],
-            K=obj["K"],
-            seed=obj["seed"],
-            net_desc=obj["net"],
-            layer_weight=obj["layer_weight"],
-            lbfgs=obj["lbfgs"],
-            scales=list(obj["scales"]),
-            output_path=obj["output"]["path"],
-            bits=obj["output"].get("bits", 16),
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _lbfgs_dict(cfg: optim.LbfgsConfig) -> dict:
@@ -251,15 +221,17 @@ def synth_multiscale(exemplar: Image, variant: MethodVariant,
     K = variant.K if variant.multiscale else 0
     pyramid = build_pyramid(exemplar, K)
     session = SynthSession(
-        exemplar_path=str(exemplar_path) if exemplar_path else None,
-        exemplar_sha256=exemplar_hash(exemplar),
+        exemplar={"path": str(exemplar_path) if exemplar_path else None,
+                  "sha256": exemplar_hash(exemplar)},
         variant=variant.to_string(),
         beta=variant.beta,
         K=K,
         seed=seed,
-        net_desc=_net_desc(network) if network is not None else None,
+        net=_net_desc(network) if network is not None else None,
         layer_weight=layer_weight,
         lbfgs=_lbfgs_dict(lbfgs),
+        scales=[],
+        output={"path": None, "bits": 16},
     )
     current = None
     for k in range(K, -1, -1):

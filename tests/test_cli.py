@@ -3,16 +3,18 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from texsynth import synth
-from texsynth.cli import main
+from texsynth import cli, synth
+from texsynth.cli import RunConfig, main
 from texsynth.ggd import LOG_ZERO_SENTINEL
 from texsynth.imagecore import Image, as_array, read_image, write_image
 from texsynth.net import random_weights, save_weights, vgg_mini
@@ -143,6 +145,28 @@ class TestSynth:
         again = (tmp_path / "sub" / "again.ppm").read_bytes()
         assert again == (tmp_path / "out.ppm").read_bytes()
 
+    @pytest.mark.parametrize("age", ["output-without-bits", "relative-paths"])
+    def test_replay_of_an_older_session_writes_the_same_bytes(self, tmp_path, monkeypatch,
+                                                              age):
+        monkeypatch.chdir(tmp_path)
+        save_rgb("ex.ppm")
+        save_weights(random_weights(vgg_mini(3), seed=5), "weights.bin")
+        rc = main(["synth", "--exemplar", "ex.ppm", "--out", "out.ppm", "--variant", "gram",
+                   "--iterations", "3", "--net-weights", "weights.bin"])
+        assert rc == 0
+        session = json.loads(Path("out.session.json").read_text())
+        if age == "output-without-bits":  # sessions from before bits was recorded
+            del session["output"]["bits"]
+        else:  # sessions from before paths were made absolute
+            session["exemplar"]["path"] = "ex.ppm"
+            net = session["net"]
+            net["provenance"] = net["provenance"].replace(os.path.abspath("weights.bin"),
+                                                          "weights.bin")
+            assert net["provenance"].startswith("file(weights.bin, crc32=")
+        Path("out.session.json").write_text(json.dumps(session))
+        assert main(["synth", "--replay", "out.session.json", "--out", "again.ppm"]) == 0
+        assert Path("again.ppm").read_bytes() == Path("out.ppm").read_bytes()
+
     def test_replay_rejects_a_non_session_file(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{}")
@@ -202,6 +226,66 @@ class TestSynth:
         rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x.ppm")])
         assert rc == 2
         assert "bits must be 8 or 16" in stderr_payload(capsys)["message"]
+
+    # where a session records each option the check covers
+    SESSION_KEYS = {"iterations": ("lbfgs", "max_iter"), "history": ("lbfgs", "history"),
+                    "grad_tol": ("lbfgs", "grad_tol"), "beta": (None, "beta"),
+                    "layer_weight": (None, "layer_weight"), "bits": ("output", "bits"),
+                    "pool": ("net", "pool")}
+
+    @pytest.mark.parametrize("source", ["flag", "config", "session"])
+    @pytest.mark.parametrize("name, value", [
+        ("iterations", -3), ("history", -2), ("grad_tol", -1.0), ("grad_tol", math.nan),
+        ("beta", math.nan), ("beta", math.inf), ("layer_weight", -math.inf),
+        ("bits", 12), ("pool", "min"),
+    ])
+    def test_an_unusable_option_exits_2_before_the_exemplar_is_read(
+            self, tmp_path, capsys, monkeypatch, source, name, value):
+        ex = save_rgb(tmp_path / "ex.ppm")
+        argv = ["synth", "--out", str(tmp_path / "x.ppm")]
+        if source == "flag":
+            argv += ["--exemplar", ex, f"--{name.replace('_', '-')}={value}"]
+        elif source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"exemplar": ex, "variant": "gram", name: value}))
+            argv += ["--config", str(cfg)]
+        else:
+            assert self.run_tiny(tmp_path)[0] == 0
+            session_path = tmp_path / "out.session.json"
+            session = json.loads(session_path.read_text())
+            part, key = self.SESSION_KEYS[name]
+            (session[part] if part else session)[key] = value
+            session_path.write_text(json.dumps(session))
+            argv += ["--replay", str(session_path)]
+        capsys.readouterr()
+
+        def fail(path):
+            raise AssertionError("exemplar read")
+
+        monkeypatch.setattr(cli, "read_image", fail)
+        assert main(argv) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "CliError"
+        assert payload["message"].startswith(f"{name} must be ")
+
+    @pytest.mark.parametrize("option", fields(RunConfig), ids=lambda f: f.name)
+    def test_every_option_is_a_flag_and_a_config_key(self, tmp_path, capsys, option):
+        sample = {"bits": 8, "pool": "max"}.get(option.name)
+        if sample is None:
+            default = option.default
+            sample = "x" if default is None or isinstance(default, str) else default * 2 + 1
+        flag = "--" + option.name.replace("_", "-")
+        from_flag, _ = cli._config_from_args(
+            cli.build_parser().parse_args(["synth", flag, str(sample)]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option.name: sample}))
+        from_config, _ = cli._config_from_args(
+            cli.build_parser().parse_args(["synth", "--config", str(cfg)]))
+        assert getattr(from_flag, option.name) == getattr(from_config, option.name) == sample
+        assert sample != option.default
+        cfg.write_text(json.dumps({option.name: [sample]}))
+        assert main(["synth", "--config", str(cfg)]) == 2
+        assert f"bad type for key {option.name!r}" in stderr_payload(capsys)["message"]
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -311,14 +311,48 @@ TRACED_LOSS = textwrap.dedent("""
 """)
 
 
-def test_tracer_hooks_fire_on_the_loss_path():
+TRACED_SYNTH = textwrap.dedent("""
+    import json
+    import os
+    import sys
+
+    import numpy as np
+
+    sys.path[:0] = sys.argv[1:3]
+    import tracing
+    from texsynth import cli, imagecore
+
+    rng = np.random.default_rng(0)
+    ex = os.path.join(sys.argv[3], "ex.ppm")
+    imagecore.write_image(imagecore.Image(rng.random((16, 16, 3))), ex)
+    tracer = tracing.Tracer("test")
+    tracing.install(tracer)
+    rc = cli.main(["synth", "--exemplar", ex, "--out", os.path.join(sys.argv[3], "out.ppm"),
+                   "--variant", "gram+msinit", "--K", "1", "--iterations", "2"])
+    print(json.dumps([rc, sorted({span[0] for span in tracer.spans})]))
+""")
+
+
+def traced_run(script, *args):
+    """Run `script` with perfbench's tracer importable; its last stdout line."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_LOSS, str(root / "perfbench"), str(root / "src")],
+        [sys.executable, "-c", script, str(root / "perfbench"), str(root / "src"), *args],
         capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )
-    names = set(json.loads(proc.stdout))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_tracer_hooks_fire_on_the_loss_path():
+    names = set(traced_run(TRACED_LOSS))
     assert {"losses.gram", "losses.autocorr", "losses.spectrum", "losses.total_loss",
             "net.forward", "net.pullback", "kernels.conv_fwd", "kernels.conv_adj",
             "synth.targets"} <= names
+
+
+def test_tracer_hooks_fire_on_the_cli_path(tmp_path):
+    rc, names = traced_run(TRACED_SYNTH, str(tmp_path))
+    assert rc == 0
+    assert {"cli.main", "imagecore.read", "imagecore.write", "imagecore.pyramid",
+            "imagecore.upsample", "synth.multiscale", "optim.minimize"} <= set(names)

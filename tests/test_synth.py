@@ -228,9 +228,9 @@ class TestMultiscale:
         _, session = synth_multiscale(
             ex, v, net, 2, lbfgs=cfg, stats_layers=["c1", "p1"], exemplar_path="ex.ppm"
         )
-        back = SynthSession.from_dict(json.loads(session.to_json()))
+        back = SynthSession(**json.loads(session.to_json()))
         assert back.to_json() == session.to_json()
-        assert back.exemplar_sha256 == exemplar_hash(ex)
+        assert back.exemplar["sha256"] == exemplar_hash(ex)
         assert back.variant == "gram+spectrum+msinit"
 
     def test_session_json_bytes_are_deterministic(self):

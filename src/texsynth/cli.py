@@ -342,19 +342,29 @@ def _pmap(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
+def _method_names(paths) -> list[str]:
+    """The method column of each --synth file: its stem, which must be unique."""
+    stems = [Path(path).stem for path in paths]
+    repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if repeated:
+        raise CliError(f"--synth files share the stems {repeated}, so their rows "
+                       "and maps could not be told apart")
+    return stems
+
+
 def cmd_eval_ds(args) -> int:
+    methods = _method_names(args.synth)
     exemplar = read_image(args.exemplar)
     image_id = args.image_id or Path(args.exemplar).stem
 
     def one(path):
         img = read_image(path)
         disp = displacement.displacement_map(img, exemplar, patch=args.patch)
-        return path, disp, displacement.ds_score(disp)
+        return disp, displacement.ds_score(disp)
 
     results = _pmap(one, list(args.synth), args.jobs)
     rows = []
-    for path, disp, score in results:
-        method = Path(path).stem
+    for method, (disp, score) in zip(methods, results):
         rows.append([image_id, method, "ds", repr(score)])
         if args.disp_dir:
             os.makedirs(args.disp_dir, exist_ok=True)
@@ -365,18 +375,18 @@ def cmd_eval_ds(args) -> int:
 
 
 def cmd_eval_klw(args) -> int:
+    methods = _method_names(args.synth)
     ref = read_image(args.ref)
     image_id = args.image_id or Path(args.ref).stem
 
     def one(path):
         img = read_image(path)
         _, aggregate = ggd.texture_distance_klw(img, ref, scales=args.scales)
-        return path, aggregate
+        return aggregate
 
     results = _pmap(one, list(args.synth), args.jobs)
     rows = []
-    for path, aggregate in results:
-        method = Path(path).stem
+    for method, aggregate in zip(methods, results):
         rows.append([image_id, method, "klw", repr(ggd.log_score(aggregate))])
         rows.append([image_id, method, "klw_sum", repr(aggregate)])
     _metric_rows(args.out, rows)

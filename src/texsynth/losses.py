@@ -36,17 +36,6 @@ TERM_NAMES = ("gram", "spectrum", "autocorr")
 FEATURE_TERMS = ("gram", "autocorr")
 
 
-def circular_autocorr(channel: np.ndarray) -> np.ndarray:
-    """Circular autocorrelation of a 2-D array, normalized by N^2.
-
-    Computed as ifft2(|fft2(x)|^2) / N^2, which equals the direct
-    wrap-around sum (1/N^2) sum_ij x(i,j) x(i+k mod h, j+l mod w).
-    """
-    f = np.fft.fft2(channel)
-    n = channel.size
-    return np.real(np.fft.ifft2(np.abs(f) ** 2)) / n**2
-
-
 @dataclass
 class FeatureTarget:
     """Per-layer exemplar statistics of a feature term and their loss
@@ -116,6 +105,17 @@ def _autocorr(f: np.ndarray):
         return (4.0 * w / n) * np.real(np.fft.ifft2(diff * fhat, axes=(0, 1)))
 
     return np.abs(fhat) ** 2 / n**2, adjoint
+
+
+def circular_autocorr(channel: np.ndarray) -> np.ndarray:
+    """Circular autocorrelation of a 2-D array, normalized by N^2.
+
+    The inverse DFT of the autocorr term's statistic, so by Wiener-Khinchin
+    it equals the direct wrap-around sum
+    (1/N^2) sum_ij x(i,j) x(i+k mod h, j+l mod w).
+    """
+    stat = _autocorr(np.asarray(channel, dtype=np.float64)[:, :, None])[0]
+    return np.real(np.fft.ifft2(stat[:, :, 0]))
 
 
 def _feature_loss(stat, feats: dict[str, np.ndarray], target: FeatureTarget):

@@ -3,15 +3,23 @@
 Works on arrays of any shape; the objective callable returns
 (value, gradient) with the gradient shaped like the iterate. The inverse
 Hessian is held as up to `history` curvature pairs combined by the
-two-loop recursion; the line search brackets then zooms with cubic
-interpolation. The iterates are unconstrained: box bounds are nobody's
-business here, image values get clamped at export time only.
+two-loop recursion. The iterates are unconstrained: image values get
+clamped at export time only.
 
-Termination is one of max_iter, grad_tol (max-norm), or
-line_search_failure (after one steepest-descent restart). A NaN objective
-value, or Inf at an accepted point, aborts with NonFiniteObjective
-carrying the last good iterate; Inf probed during bracketing is treated
-as an infinitely bad point and the search shrinks away from it.
+The line search (Nocedal & Wright, Alg. 3.5/3.6) probes phi(a) ->
+(value, grad, slope) along the direction: from STEP_INIT it doubles to a
+bracket, then zooms by cubic interpolation, at most MAX_LS probes per
+phase, to a step meeting the strong Wolfe conditions with C1 and C2.
+These are module constants, not options.
+
+A failed search is retried once along -g with the history dropped, unless
+the direction already was exactly -g (empty history with gamma = 1, or the
+fallback for a non-descent direction): the retry would repeat its probes.
+Termination is max_iter, grad_tol (max-norm) or line_search_failure. A
+non-finite probe counts as an infinitely bad point; a non-finite start,
+or a failed search that probed one, raises NonFiniteObjective carrying the
+last good iterate. Inner products are numpy's fixed-order pairwise sums,
+not BLAS, so the iterates do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -19,6 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+C1 = 1e-4  # sufficient decrease (Armijo)
+C2 = 0.9  # curvature
+STEP_INIT = 1.0  # first trial step of every search
+MAX_LS = 25  # evaluations per bracketing or zoom phase
 
 
 class NonFiniteObjective(Exception):
@@ -35,10 +48,6 @@ class LbfgsConfig:
     max_iter: int = 2000
     history: int = 10
     grad_tol: float = 1e-8  # max-norm of the gradient
-    c1: float = 1e-4
-    c2: float = 0.9
-    step_init: float = 1.0
-    max_ls: int = 25  # evaluations per bracketing or zoom phase
 
 
 @dataclass
@@ -51,18 +60,10 @@ class OptTrace:
     n_evals: int = 0
     grad_norm: float = np.inf
 
-    def to_dict(self) -> dict:
-        return {
-            "values": [float(v) for v in self.values],
-            "termination": self.termination,
-            "iterations": self.iterations,
-            "n_evals": self.n_evals,
-            "grad_norm": float(self.grad_norm),
-        }
-
 
 def _dot(a, b) -> float:
-    return float(np.vdot(a, b))
+    # not np.vdot: BLAS ddot sums in an order that follows its thread split
+    return float(np.add.reduce(a.ravel() * b.ravel()))
 
 
 def two_loop_direction(grad, pairs, gamma: float):
@@ -111,69 +112,52 @@ def _cubic_step(alo, flo, dlo, ahi, fhi, dhi):
     return a if np.isfinite(a) else None
 
 
-class _LineSearch:
-    """One strong Wolfe search along p from x; tracks evaluation count and
-    whether any probe came back non-finite."""
+def _line_search(phi, f0, d0):
+    """Strong Wolfe step along a direction: (step, value, grad) or None.
 
-    def __init__(self, fun, x, p, f0, g0, cfg):
-        self.fun = fun
-        self.x = x
-        self.p = p
-        self.phi0 = f0
-        self.dphi0 = _dot(g0, p)
-        self.cfg = cfg
-        self.n_evals = 0
-        self.saw_nonfinite = False
+    phi(a) -> (value, grad, slope) probes the objective a step a along the
+    direction; f0 and d0 are its value and slope at a = 0. Brackets by
+    doubling from STEP_INIT, then zooms.
+    """
+    if d0 >= 0:
+        return None
+    prev = (0.0, f0, d0)  # (step, value, slope) of the last probe
+    a = STEP_INIT
+    for i in range(MAX_LS):
+        f_a, g_a, d_a = phi(a)
+        if f_a > f0 + C1 * a * d0 or (i > 0 and f_a >= prev[1]):
+            return _zoom(phi, f0, d0, prev, (a, f_a, d_a))
+        if abs(d_a) <= -C2 * d0:
+            return (a, f_a, g_a) if f_a < f0 else None
+        if d_a >= 0:
+            return _zoom(phi, f0, d0, (a, f_a, d_a), prev)
+        prev = (a, f_a, d_a)
+        a = min(2.0 * a, 1e10)
+    return None
 
-    def _eval(self, a):
-        value, grad = self.fun(self.x + a * self.p)
-        self.n_evals += 1
-        if not _is_good(value, grad):
-            self.saw_nonfinite = True
-            return np.inf, None, np.nan
-        return value, grad, _dot(grad, self.p)
 
-    def run(self):
-        """Returns (alpha, value, grad) or None."""
-        cfg = self.cfg
-        if self.dphi0 >= 0:
+def _zoom(phi, f0, d0, lo, hi):
+    """Shrink a bracket of (step, value, slope) points, lo the lower value,
+    to a strong Wolfe step; (step, value, grad) or None."""
+    for _ in range(MAX_LS):
+        (alo, flo, dlo), (ahi, fhi, dhi) = lo, hi
+        width = abs(ahi - alo)
+        if width < 1e-16 * max(1.0, abs(alo)):
             return None
-        a_prev, f_prev, d_prev = 0.0, self.phi0, self.dphi0
-        a = cfg.step_init
-        for i in range(cfg.max_ls):
-            f_a, g_a, d_a = self._eval(a)
-            armijo = self.phi0 + cfg.c1 * a * self.dphi0
-            if f_a > armijo or (i > 0 and f_a >= f_prev):
-                return self._zoom(a_prev, f_prev, d_prev, a, f_a, d_a)
-            if abs(d_a) <= -cfg.c2 * self.dphi0:
-                return (a, f_a, g_a) if f_a < self.phi0 else None
-            if d_a >= 0:
-                return self._zoom(a, f_a, d_a, a_prev, f_prev, d_prev)
-            a_prev, f_prev, d_prev = a, f_a, d_a
-            a = min(2.0 * a, 1e10)
-        return None
-
-    def _zoom(self, alo, flo, dlo, ahi, fhi, dhi):
-        cfg = self.cfg
-        for _ in range(cfg.max_ls):
-            width = abs(ahi - alo)
-            if width < 1e-16 * max(1.0, abs(alo)):
-                return None
-            a = _cubic_step(alo, flo, dlo, ahi, fhi, dhi)
-            lo, hi = min(alo, ahi), max(alo, ahi)
-            margin = 0.1 * width
-            if a is None or not (lo + margin <= a <= hi - margin):
-                a = 0.5 * (alo + ahi)
-            f_a, g_a, d_a = self._eval(a)
-            if f_a > self.phi0 + cfg.c1 * a * self.dphi0 or f_a >= flo:
-                ahi, fhi, dhi = a, f_a, d_a
-            else:
-                if abs(d_a) <= -cfg.c2 * self.dphi0:
-                    return (a, f_a, g_a) if f_a < self.phi0 else None
-                if d_a * (ahi - alo) >= 0:
-                    ahi, fhi, dhi = alo, flo, dlo
-                alo, flo, dlo = a, f_a, d_a
-        return None
+        a = _cubic_step(alo, flo, dlo, ahi, fhi, dhi)
+        margin = 0.1 * width
+        if a is None or not (min(alo, ahi) + margin <= a <= max(alo, ahi) - margin):
+            a = 0.5 * (alo + ahi)
+        f_a, g_a, d_a = phi(a)
+        if f_a > f0 + C1 * a * d0 or f_a >= flo:
+            hi = (a, f_a, d_a)
+        else:
+            if abs(d_a) <= -C2 * d0:
+                return (a, f_a, g_a) if f_a < f0 else None
+            if d_a * (ahi - alo) >= 0:
+                hi = lo
+            lo = (a, f_a, d_a)
+    return None
 
 
 def minimize(fun, x0, cfg: LbfgsConfig | None = None):
@@ -191,6 +175,16 @@ def minimize(fun, x0, cfg: LbfgsConfig | None = None):
     pairs = []  # (s, y, rho), oldest first
     gamma = 1.0
 
+    def phi(a):
+        nonlocal saw_nonfinite
+        value, grad = fun(x + a * p)
+        trace.n_evals += 1
+        if not _is_good(value, grad):
+            saw_nonfinite = True
+            return np.inf, None, np.nan
+        grad = np.asarray(grad, dtype=np.float64)
+        return value, grad, _dot(grad, p)
+
     while True:
         trace.grad_norm = float(np.max(np.abs(gx))) if gx.size else 0.0
         if trace.grad_norm <= cfg.grad_tol:
@@ -201,38 +195,31 @@ def minimize(fun, x0, cfg: LbfgsConfig | None = None):
             break
 
         p = two_loop_direction(gx, pairs, gamma)
+        steepest = not pairs and gamma == 1.0  # then p is exactly -g
         if _dot(p, gx) >= 0:
             # curvature information went stale; fall back to steepest descent
-            p = -gx
-        search = _LineSearch(fun, x, p, fx, gx, cfg)
-        result = search.run()
-        trace.n_evals += search.n_evals
-        saw_nonfinite = search.saw_nonfinite
-        if result is None:
-            # one steepest-descent restart, then give up
+            p, steepest = -gx, True
+        saw_nonfinite = False
+        # a failed search restarts once along -g, unless p already was -g
+        while (result := _line_search(phi, fx, _dot(gx, p))) is None and not steepest:
             pairs.clear()
             gamma = 1.0
-            search = _LineSearch(fun, x, -gx, fx, gx, cfg)
-            result = search.run()
-            trace.n_evals += search.n_evals
-            saw_nonfinite = saw_nonfinite or search.saw_nonfinite
-            if result is None:
-                if saw_nonfinite:
-                    raise NonFiniteObjective(
-                        "objective non-finite along every probed step", x, trace
-                    )
-                trace.termination = "line_search_failure"
-                break
-            p = -gx
+            p, steepest = -gx, True
+        if result is None:
+            if saw_nonfinite:
+                raise NonFiniteObjective("objective non-finite along every probed step",
+                                         x, trace)
+            trace.termination = "line_search_failure"
+            break
         alpha, f_new, g_new = result
         s = alpha * p
         y = g_new - gx
-        ys = _dot(y, s)
-        if ys > 1e-10 * np.linalg.norm(y.ravel()) * np.linalg.norm(s.ravel()):
+        ys, yy = _dot(y, s), _dot(y, y)
+        if ys > 1e-10 * np.sqrt(yy) * np.sqrt(_dot(s, s)):
             pairs.append((s, y, 1.0 / ys))
             if len(pairs) > cfg.history:
                 pairs.pop(0)
-            gamma = ys / _dot(y, y)
+            gamma = ys / yy
         x = x + s
         fx, gx = float(f_new), g_new
         trace.values.append(fx)

@@ -123,17 +123,6 @@ class SynthSession:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _lbfgs_dict(cfg: optim.LbfgsConfig) -> dict:
-    return {
-        "max_iter": cfg.max_iter,
-        "history": cfg.history,
-        "grad_tol": cfg.grad_tol,
-        "c1": cfg.c1,
-        "c2": cfg.c2,
-        "step_init": cfg.step_init,
-    }
-
-
 def _net_desc(network: netmod.Network) -> dict:
     return {
         "provenance": network.weights.provenance,
@@ -198,7 +187,7 @@ def synth_single_scale(exemplar: Image, variant: MethodVariant,
         "dims": [exemplar.h, exemplar.w, exemplar.c],
         "stats_layers": kept,
         "dropped_layers": dropped,
-        "trace": trace.to_dict(),
+        "trace": asdict(trace),
         "final_terms": {k: float(v) for k, v in final.terms.items()},
         "final_spectrum_distance": final.spectrum_distance,
     }
@@ -229,7 +218,7 @@ def synth_multiscale(exemplar: Image, variant: MethodVariant,
         seed=seed,
         net=_net_desc(network) if network is not None else None,
         layer_weight=layer_weight,
-        lbfgs=_lbfgs_dict(lbfgs),
+        lbfgs=asdict(lbfgs),
         scales=[],
         output={"path": None, "bits": 16},
     )

@@ -40,6 +40,13 @@ def forbid_synthesis(monkeypatch):
     monkeypatch.setattr(synth, "synth_multiscale", fail)
 
 
+def blas_env(threads):
+    """Environment for a `python -m texsynth.cli` subprocess at a BLAS thread count."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+
+
 def read_csv(text):
     return list(csv.reader(io.StringIO(text)))
 
@@ -145,7 +152,8 @@ class TestSynth:
         again = (tmp_path / "sub" / "again.ppm").read_bytes()
         assert again == (tmp_path / "out.ppm").read_bytes()
 
-    @pytest.mark.parametrize("age", ["output-without-bits", "relative-paths"])
+    @pytest.mark.parametrize("age", ["output-without-bits", "relative-paths",
+                                     "line-search-settings"])
     def test_replay_of_an_older_session_writes_the_same_bytes(self, tmp_path, monkeypatch,
                                                               age):
         monkeypatch.chdir(tmp_path)
@@ -157,6 +165,8 @@ class TestSynth:
         session = json.loads(Path("out.session.json").read_text())
         if age == "output-without-bits":  # sessions from before bits was recorded
             del session["output"]["bits"]
+        elif age == "line-search-settings":  # sessions from before these were constants
+            session["lbfgs"].update(c1=1e-4, c2=0.9, step_init=1.0)
         else:  # sessions from before paths were made absolute
             session["exemplar"]["path"] = "ex.ppm"
             net = session["net"]
@@ -166,6 +176,28 @@ class TestSynth:
         Path("out.session.json").write_text(json.dumps(session))
         assert main(["synth", "--replay", "out.session.json", "--out", "again.ppm"]) == 0
         assert Path("again.ppm").read_bytes() == Path("out.ppm").read_bytes()
+
+    @pytest.mark.parametrize("extra", [
+        ["--variant", "gram+spectrum+msinit", "--K", "1", "--iterations", "60"],
+        ["--variant", "gram+spectrum+autocorr", "--iterations", "30"],
+    ], ids=["msinit", "autocorr"])
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path, extra):
+        rng = np.random.default_rng(64)
+        write_image(Image(rng.random((64, 64, 3))), tmp_path / "ex.ppm", bits=16)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            subprocess.run(
+                [sys.executable, "-m", "texsynth.cli", "synth",
+                 "--exemplar", str(tmp_path / "ex.ppm"), "--out", str(out / "s.ppm"),
+                 "--curve", str(out / "curve.csv"), "--seed", "1"] + extra,
+                env=blas_env(threads), check=True, timeout=300, capture_output=True,
+            )
+            session = (out / "s.session.json").read_text().replace(str(out), "OUT")
+            outputs.append(((out / "s.ppm").read_bytes(), (out / "curve.csv").read_bytes(),
+                            session))
+        assert outputs[0] == outputs[1]
 
     def test_replay_rejects_a_non_session_file(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
@@ -382,17 +414,14 @@ class TestEvalDs:
         rng = np.random.default_rng(32)
         write_image(Image(rng.random((32, 32, 3))), tmp_path / "ex.ppm", bits=16)
         write_image(Image(rng.random((32, 32, 3))), tmp_path / "s.ppm", bits=16)
-        src = str(Path(__file__).resolve().parents[1] / "src")
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
             subprocess.run(
                 [sys.executable, "-m", "texsynth.cli", "eval-ds",
                  "--exemplar", str(tmp_path / "ex.ppm"), "--synth", str(tmp_path / "s.ppm"),
                  "--out", str(out / "ds.csv"), "--disp-dir", str(out)],
-                env=env, check=True, timeout=120,
+                env=blas_env(threads), check=True, timeout=120,
             )
             outputs.append(((out / "ds.csv").read_bytes(), (out / "s.disp.ppm").read_bytes()))
         assert outputs[0] == outputs[1]
@@ -445,6 +474,33 @@ class TestEvalKlw:
         ])
         assert rc == 2
         assert stderr_payload(capsys)["error"] == "WaveletScaleError"
+
+
+@pytest.mark.parametrize("command", ["eval-ds", "eval-klw"])
+def test_repeated_method_stems_exit_2_before_any_search(tmp_path, capsys, monkeypatch,
+                                                        command):
+    # a/x.ppm and b/x.ppm would both be method "x": two rows that cannot be
+    # told apart, and the second x.disp.ppm would overwrite the first
+    ex = save_rgb(tmp_path / "ex.ppm")
+    synths = []
+    for i, sub in enumerate("ab"):
+        (tmp_path / sub).mkdir()
+        synths.append(save_rgb(tmp_path / sub / "x.ppm", phase=float(i)))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(cli.displacement, "displacement_map", fail)
+    monkeypatch.setattr(cli.ggd, "texture_distance_klw", fail)
+    if command == "eval-ds":
+        args = ["--exemplar", ex, "--disp-dir", str(tmp_path / "maps")]
+    else:
+        args = ["--ref", ex, "--scales", "2"]
+    rc = main([command, *args, "--synth", *synths, "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "CliError" and "['x']" in payload["message"]
+    assert not (tmp_path / "maps").exists() and not (tmp_path / "m.csv").exists()
 
 
 def write_duels(path, rows):

@@ -1,9 +1,20 @@
 """Optimizer behavior: convergence, traces, and non-finite handling."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from texsynth.optim import LbfgsConfig, NonFiniteObjective, minimize, two_loop_direction
+from texsynth.optim import (
+    C1,
+    C2,
+    MAX_LS,
+    LbfgsConfig,
+    NonFiniteObjective,
+    _line_search,
+    minimize,
+    two_loop_direction,
+)
 
 
 def rosenbrock(x):
@@ -103,9 +114,59 @@ class TestTrace:
 
     def test_to_dict_is_json_shaped(self):
         _, trace = minimize(rosenbrock, np.array([-1.2, 1.0]), LbfgsConfig(max_iter=5))
-        d = trace.to_dict()
+        d = asdict(trace)
         assert set(d) == {"values", "termination", "iterations", "n_evals", "grad_norm"}
         assert all(isinstance(v, float) for v in d["values"])
+
+    def test_linear_objective_fails_without_repeating_the_search(self):
+        # the first direction is already -g, so a steepest-descent restart
+        # would make the same 25 probes again
+        _, trace = minimize(lambda z: (-z[0], [-1.0]), [0.0])
+        assert trace.termination == "line_search_failure"
+        assert trace.n_evals == 26
+
+
+def probe(f, df):
+    """phi(a) -> (value, grad, slope) of a 1-D function, counting calls."""
+    calls = []
+
+    def phi(a):
+        calls.append(a)
+        value = f(a)
+        if not np.isfinite(value):
+            return np.inf, None, np.nan
+        return value, np.array([df(a)]), df(a)
+
+    return phi, calls
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("f, df", [
+        (lambda a: (a - 3.0) ** 2, lambda a: 2.0 * (a - 3.0)),
+        (lambda a: (a - 100.0) ** 2, lambda a: 2.0 * (a - 100.0)),
+        (lambda a: (a - 1e-3) ** 2, lambda a: 2.0 * (a - 1e-3)),
+        (lambda a: a**3 - 3.0 * a**2 - 9.0 * a, lambda a: 3.0 * a**2 - 6.0 * a - 9.0),
+        (lambda a: (a - 2.0) ** 2 if a < 0.5 else np.inf, lambda a: 2.0 * (a - 2.0)),
+    ], ids=["quadratic", "far-quadratic", "near-quadratic", "cubic", "wall-past-0.5"])
+    def test_returned_step_meets_the_strong_wolfe_conditions(self, f, df):
+        phi, calls = probe(f, df)
+        f0, d0 = f(0.0), df(0.0)
+        a, value, grad = _line_search(phi, f0, d0)
+        assert a > 0
+        assert value == f(a) and grad[0] == df(a)
+        assert value <= f0 + C1 * a * d0
+        assert abs(df(a)) <= C2 * abs(d0)
+        assert len(calls) <= 2 * MAX_LS
+
+    def test_a_wall_everywhere_returns_none(self):
+        phi, calls = probe(lambda a: np.inf, lambda a: -1.0)
+        assert _line_search(phi, 1.0, -1.0) is None
+        assert len(calls) <= 2 * MAX_LS
+
+    def test_an_ascent_direction_probes_nothing(self):
+        phi, calls = probe(lambda a: a, lambda a: 1.0)
+        assert _line_search(phi, 0.0, 1.0) is None
+        assert calls == []
 
 
 class TestTwoLoop:

@@ -10,6 +10,11 @@ Statistics are read at {conv1_1, pool1, pool2, pool3} by default. Weights
 are random but deterministic in the seed; no pretrained model is involved.
 Everything runs in float64 and the backward pass is the exact adjoint of
 the forward pass (ReLU takes subgradient 0 at 0).
+
+Each layer kind is one forward that returns its adjoint: a closure that
+holds only what the reverse step needs (the kernel, the ReLU's bool mask,
+the pool's counts or argmax). A forward pass records a tape of these, and
+the pullback walks that tape in reverse.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in _KIND_CODES:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        if self.in_ch < 1 or self.out_ch < 1:
+            raise ValueError(f"layer {self.name} needs at least one channel in and out")
         if self.kind != "conv3x3" and self.in_ch != self.out_ch:
             raise ValueError(f"{self.kind} layer {self.name} cannot change channels")
 
@@ -80,6 +87,8 @@ ARCHITECTURES = {"vgg-mini": vgg_mini}
 
 
 def _validate_chain(specs) -> None:
+    if not specs:
+        raise ValueError("a network needs at least one layer")
     prev = None
     seen = set()
     for spec in specs:
@@ -94,6 +103,11 @@ def _validate_chain(specs) -> None:
         prev = spec
 
 
+def _convs(specs):
+    """The conv layers, the only ones with weights."""
+    return [spec for spec in specs if spec.kind == "conv3x3"]
+
+
 def random_weights(specs, seed: int) -> NetworkWeights:
     """He-scaled gaussian kernels, zero biases, deterministic in the seed.
 
@@ -104,9 +118,7 @@ def random_weights(specs, seed: int) -> NetworkWeights:
     _validate_chain(specs)
     rng = np.random.default_rng(seed)
     tensors = {}
-    for spec in specs:
-        if spec.kind != "conv3x3":
-            continue
+    for spec in _convs(specs):
         std = np.sqrt(2.0 / (9 * spec.in_ch))
         kern = rng.standard_normal((spec.out_ch, spec.in_ch, 3, 3)) * std
         bias = np.zeros(spec.out_ch)
@@ -126,9 +138,7 @@ def save_weights(weights: NetworkWeights, path) -> None:
         parts.append(struct.pack("<BH", _KIND_CODES[spec.kind], len(name)))
         parts.append(name)
         parts.append(struct.pack("<II", spec.in_ch, spec.out_ch))
-    for spec in weights.specs:
-        if spec.kind != "conv3x3":
-            continue
+    for spec in _convs(weights.specs):
         kern, bias = weights.tensors[spec.name]
         parts.append(np.ascontiguousarray(kern, dtype="<f8").tobytes())
         parts.append(np.ascontiguousarray(bias, dtype="<f8").tobytes())
@@ -163,9 +173,7 @@ def load_weights(path) -> NetworkWeights:
             off += 8
             specs.append(LayerSpec(name, _CODE_KINDS[code], in_ch, out_ch))
         tensors = {}
-        for spec in specs:
-            if spec.kind != "conv3x3":
-                continue
+        for spec in _convs(specs):
             n_k = spec.out_ch * spec.in_ch * 9
             kern = np.frombuffer(body, dtype="<f8", count=n_k, offset=off)
             off += n_k * 8
@@ -194,9 +202,7 @@ class Network:
             raise ValueError(f"pool must be 'avg' or 'max', got {pool!r}")
         self.pool = pool
         self.weights = weights
-        for spec in self.specs:
-            if spec.kind != "conv3x3":
-                continue
+        for spec in _convs(self.specs):
             if spec.name not in weights.tensors:
                 raise WeightsFormatError(f"no weights for conv layer {spec.name}")
             kern, bias = weights.tensors[spec.name]
@@ -233,15 +239,6 @@ def make_network(arch: str = "vgg-mini", in_channels: int = 3, seed: int = 0,
 _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _avgpool2_back(g, cnt, h, w):
-    out = np.zeros((h, w, g.shape[2]))
-    gn = g / cnt
-    for di, dj in _POOL_OFFSETS:
-        sub = out[di::2, dj::2]
-        sub += gn[: sub.shape[0], : sub.shape[1]]
-    return out
-
-
 def _maxpool2(x):
     h, w, m = x.shape
     h2, w2 = -(-h // 2), -(-w // 2)
@@ -254,112 +251,92 @@ def _maxpool2(x):
     return out, arg
 
 
-def _maxpool2_back(g, arg, h, w):
-    out = np.zeros((h, w, g.shape[2]))
-    for idx, (di, dj) in enumerate(_POOL_OFFSETS):
+def _unpool2(parts, shape):
+    """The pool input's cotangent: part i goes back to 2x2 offset i, cropped
+    where the window runs past a ragged edge."""
+    out = np.zeros(shape)
+    for part, (di, dj) in zip(parts, _POOL_OFFSETS):
         sub = out[di::2, dj::2]
-        sel = arg[: sub.shape[0], : sub.shape[1]] == idx
-        sub += np.where(sel, g[: sub.shape[0], : sub.shape[1]], 0.0)
+        sub += part[: sub.shape[0], : sub.shape[1]]
     return out
 
 
-def _as_array(net: Network, img) -> np.ndarray:
+def _layer(net: Network, spec: LayerSpec, x: np.ndarray):
+    """One layer on x: (output, adjoint), where adjoint(g) maps the output's
+    cotangent g to a fresh array, the cotangent of x.
+
+    An adjoint keeps the least it needs (a kernel, a bool mask, the pool
+    counts or argmax, x's shape) and never x itself. The `_kernels` entry
+    points are looked up at call time so that rebinding them takes effect.
+    """
+    if spec.kind == "conv3x3":
+        kern, bias = net.weights.tensors[spec.name]
+        return _kernels.conv3x3(x, kern, bias), lambda g: _kernels.conv3x3_back(g, kern)
+    if spec.kind == "relu":
+        mask = x > 0
+        return np.maximum(x, 0.0), lambda g: g * mask
+    shape = x.shape
+    if net.pool == "avg":
+        out, cnt = box_average2(x)
+        return out, lambda g: _unpool2([g / cnt] * 4, shape)
+    out, arg = _maxpool2(x)
+    return out, lambda g: _unpool2((np.where(arg == i, g, 0.0) for i in range(4)), shape)
+
+
+def _run(net: Network, img, wanted):
+    """Run the chain on img: the outputs of the `wanted` layers (every layer
+    when None), keyed by name, and the tape of (name, output shape, adjoint)."""
     x = as_array(img)
     if x.ndim != 3 or x.shape[2] != net.in_channels:
         raise ValueError(
             f"input shape {x.shape} does not match network input "
             f"({net.in_channels} channels)"
         )
-    return x
-
-
-def _run_forward(net: Network, x: np.ndarray, keep=(), with_cache=False):
-    """Run the chain; record outputs named in `keep` and, optionally, the
-    per-layer state the backward walk needs."""
-    acts = {}
-    cache = [] if with_cache else None
-    for spec in net.specs:
-        if spec.kind == "conv3x3":
-            kern, bias = net.weights.tensors[spec.name]
-            out = _kernels.conv3x3(x, kern, bias)
-            aux = None
-        elif spec.kind == "relu":
-            out = np.maximum(x, 0.0)
-            aux = x > 0 if with_cache else None
-        else:
-            out, aux = box_average2(x) if net.pool == "avg" else _maxpool2(x)
-        if with_cache:
-            cache.append((spec, x.shape, aux))
-        if spec.name in keep:
-            acts[spec.name] = out
-        x = out
-    return acts, cache
-
-
-def _check_wanted(net: Network, wanted) -> tuple[str, ...]:
     wanted = net.names if wanted is None else tuple(wanted)
     unknown = set(wanted) - set(net.names)
     if unknown:
         raise ValueError(f"unknown layers requested: {sorted(unknown)}")
-    return wanted
-
-
-def _pullback(net: Network, cache, cotangents: dict[str, np.ndarray],
-              in_shape) -> np.ndarray:
-    grad = None
-    for spec, shape, aux in reversed(cache):
-        h, w, _ = shape
-        if spec.name in cotangents:
-            cot = np.asarray(cotangents[spec.name], dtype=np.float64)
-            grad = cot.copy() if grad is None else grad + cot
-        if grad is None:
-            continue
-        if spec.kind == "conv3x3":
-            kern, _ = net.weights.tensors[spec.name]
-            grad = _kernels.conv3x3_back(grad, kern)
-        elif spec.kind == "relu":
-            grad = grad * aux
-        else:
-            if net.pool == "avg":
-                grad = _avgpool2_back(grad, aux, h, w)
-            else:
-                grad = _maxpool2_back(grad, aux, h, w)
-    return np.zeros(in_shape) if grad is None else grad
+    acts, tape = {}, []
+    for spec in net.specs:
+        x, adjoint = _layer(net, spec, x)
+        tape.append((spec.name, x.shape, adjoint))
+        if spec.name in wanted:
+            acts[spec.name] = x
+    return acts, tape
 
 
 def forward(net: Network, img, wanted=None) -> dict[str, np.ndarray]:
     """Activations (h_l, w_l, m_l) at the `wanted` layers, keyed by name."""
-    x = _as_array(net, img)
-    acts, _ = _run_forward(net, x, keep=_check_wanted(net, wanted))
-    return acts
+    return _run(net, img, wanted)[0]
 
 
 def forward_with_pullback(net: Network, img, wanted):
-    """Activations plus a one-shot closure mapping per-layer cotangents to
-    the input-image gradient. One forward pass total; the closure replays
-    the chain in reverse from cached state."""
-    x = _as_array(net, img)
-    wanted = _check_wanted(net, wanted)
-    acts, cache = _run_forward(net, x, keep=wanted, with_cache=True)
-    dims = net.layer_dims(x.shape[0], x.shape[1])
+    """Activations plus a closure mapping per-layer cotangents to the
+    input-image gradient. One forward pass total; the closure walks the
+    tape of layer adjoints in reverse."""
+    acts, tape = _run(net, img, wanted)
+    shapes = {name: shape for name, shape, _ in tape}
 
     def pull(cotangents: dict[str, np.ndarray]) -> np.ndarray:
-        _check_cotangents(net, dims, cotangents)
-        return _pullback(net, cache, cotangents, x.shape)
+        unknown = set(cotangents) - set(shapes)
+        if unknown:
+            raise ValueError(f"cotangents for unknown layers: {sorted(unknown)}")
+        for name, cot in cotangents.items():
+            if tuple(np.shape(cot)) != shapes[name]:
+                raise ValueError(
+                    f"cotangent shape {np.shape(cot)} at {name} does not match "
+                    f"activation shape {shapes[name]}"
+                )
+        grad = None
+        for name, _, adjoint in reversed(tape):
+            if name in cotangents:
+                cot = np.asarray(cotangents[name], dtype=np.float64)
+                grad = cot if grad is None else grad + cot
+            if grad is not None:
+                grad = adjoint(grad)
+        return np.zeros(as_array(img).shape) if grad is None else grad
 
     return acts, pull
-
-
-def _check_cotangents(net, dims, cotangents):
-    unknown = set(cotangents) - set(net.names)
-    if unknown:
-        raise ValueError(f"cotangents for unknown layers: {sorted(unknown)}")
-    for name, cot in cotangents.items():
-        if tuple(np.shape(cot)) != dims[name]:
-            raise ValueError(
-                f"cotangent shape {np.shape(cot)} at {name} does not match "
-                f"activation shape {dims[name]}"
-            )
 
 
 def backward(net: Network, img, cotangents: dict[str, np.ndarray]) -> np.ndarray:

@@ -175,14 +175,20 @@ def synth_single_scale(exemplar: Image, variant: MethodVariant,
         exemplar, variant, network, layers=kept or None, layer_weight=layer_weight
     )
     shape = init.data.shape
+    latest = None  # (point, report) of the latest evaluation
 
     def objective(flat):
+        nonlocal latest
         report = losses.total_loss(flat.reshape(shape), variant, targets, network)
+        latest = flat, report
         return report.total, report.grad.ravel()
 
     x, trace = optim.minimize(objective, init.data.ravel(), lbfgs)
     result = Image(x.reshape(shape))
-    final = losses.total_loss(result, variant, targets, network)
+    # the optimizer's last evaluation is at its result, unless a search failed
+    point, final = latest
+    if not np.array_equal(point, x):
+        final = losses.total_loss(result, variant, targets, network)
     record = {
         "dims": [exemplar.h, exemplar.w, exemplar.c],
         "stats_layers": kept,

@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -128,6 +130,25 @@ class TestSynth:
         forbid_synthesis(monkeypatch)
         assert self.replay(tmp_path) == 2
         assert "do not match the session" in stderr_payload(capsys)["message"]
+
+    @pytest.mark.parametrize("layers, message", [
+        ([], "at least one layer"),
+        ([("conv1_1", 0, 3, 0)], "malformed weights file"),
+    ], ids=["no-layers", "zero-out-channels"])
+    def test_malformed_weights_file_exits_2_before_synthesis(self, tmp_path, capsys,
+                                                            monkeypatch, layers, message):
+        # a valid checksum over a layer table with no payload (no conv has weights)
+        body = b"NTWF" + struct.pack("<II", 1, len(layers)) + b"".join(
+            struct.pack("<BH", code, len(name)) + name.encode()
+            + struct.pack("<II", in_ch, out_ch)
+            for name, code, in_ch, out_ch in layers
+        )
+        weights = tmp_path / "weights.bin"
+        weights.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        forbid_synthesis(monkeypatch)
+        rc, _, _ = self.run_tiny(tmp_path, extra=["--net-weights", str(weights)])
+        assert rc == 2
+        assert message in stderr_payload(capsys)["message"]
 
     def test_replay_of_an_8_bit_run_writes_the_same_bytes(self, tmp_path):
         rc, _, out = self.run_tiny(tmp_path, extra=["--bits", "8"])

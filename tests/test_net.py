@@ -80,24 +80,41 @@ class TestSpecs:
             assert a.shape == net.layer_dims(9, 7)[name]
 
 
+def top_two_gap(act):
+    """Smallest gap between a 2x2 pool window's largest and second-largest
+    values, over windows whose largest value is positive."""
+    h, w, c = act.shape
+    pad = np.full((h + h % 2, w + w % 2, c), -np.inf)
+    pad[:h, :w] = act
+    windows = pad.reshape(pad.shape[0] // 2, 2, pad.shape[1] // 2, 2, c)
+    ranked = np.sort(windows.transpose(0, 2, 4, 1, 3).reshape(-1, 4), axis=1)
+    live = ranked[:, 3] > 0
+    return (ranked[live, 3] - ranked[live, 2]).min(initial=np.inf)
+
+
 class TestForwardBackward:
-    def test_backward_matches_finite_differences(self):
-        net = small_net(seed=1)
+    @pytest.mark.parametrize("pool", ["avg", "max"])
+    def test_backward_matches_finite_differences(self, pool):
+        net = small_net(seed=1, pool=pool)
         rng = np.random.default_rng(2)
-        # reseed until every relu input is clear of its kink
+        # reseed until every relu input is clear of its kink and, for max
+        # pooling, every window's maximum is clear of its runner-up
         for seed in range(20):
-            x = np.random.default_rng(seed).random((8, 8, 3))
-            pre1 = forward(net, x, wanted=["c1"])["c1"]
-            pre2 = forward(net, x, wanted=["c2"])["c2"]
-            if min(np.abs(pre1).min(), np.abs(pre2).min()) > 1e-4:
+            x = np.random.default_rng(seed).random((7, 9, 3))
+            acts = forward(net, x)
+            kink = min(np.abs(acts["c1"]).min(), np.abs(acts["c2"]).min())
+            if pool == "max":
+                kink = min(kink, top_two_gap(acts["r1"]), top_two_gap(acts["r2"]))
+            if kink > 1e-4:
                 break
-        cots = {
-            "p1": rng.standard_normal(net.layer_dims(8, 8)["p1"]),
-            "p2": rng.standard_normal(net.layer_dims(8, 8)["p2"]),
-        }
+        else:
+            pytest.fail("no seed keeps the input clear of kinks")
+        # a cotangent on a conv, a relu and both pools, ragged edges included
+        dims = net.layer_dims(7, 9)
+        cots = {name: rng.standard_normal(dims[name]) for name in ("c2", "r1", "p1", "p2")}
 
         def scalar(img):
-            acts = forward(net, img, wanted=["p1", "p2"])
+            acts = forward(net, img, wanted=list(cots))
             return sum(np.vdot(cots[k], acts[k]) for k in cots)
 
         ana = backward(net, x, cots)
@@ -125,8 +142,9 @@ class TestForwardBackward:
         grad = backward(net, x, {"r": np.ones((3, 1, 1))})
         assert grad.ravel().tolist() == [0.0, 0.0, 1.0]
 
-    def test_pullback_agrees_with_backward(self):
-        net = small_net(seed=5)
+    @pytest.mark.parametrize("pool", ["avg", "max"])
+    def test_pullback_agrees_with_backward(self, pool):
+        net = small_net(seed=5, pool=pool)
         rng = np.random.default_rng(6)
         x = rng.random((7, 9, 3))
         cots = {"p2": rng.standard_normal(net.layer_dims(7, 9)["p2"])}

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from texsynth import losses, optim
 from texsynth.imagecore import Image, serialize_pnm
 from texsynth.losses import spectrum_loss, spectrum_target
 from texsynth.net import LayerSpec, Network, make_network, random_weights
@@ -191,6 +192,53 @@ class TestSingleScale:
             ex, MethodVariant(("spectrum",)), None, 0, lbfgs=LbfgsConfig(max_iter=200)
         )
         assert trace.values[-1] < 1e-3 * trace.values[0]
+
+
+class TestFinalTerms:
+    def count_loss_calls(self, monkeypatch):
+        calls = []
+        total_loss = losses.total_loss
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return total_loss(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "total_loss", counted)
+        return calls
+
+    @pytest.mark.parametrize("terms, lbfgs, termination", [
+        (("gram", "spectrum"), LbfgsConfig(max_iter=5), "max_iter"),
+        (("spectrum",), LbfgsConfig(grad_tol=1e-6), "grad_tol"),
+    ], ids=["max_iter", "grad_tol"])
+    def test_the_loss_is_evaluated_only_by_the_optimizer(self, monkeypatch, terms, lbfgs,
+                                                         termination):
+        calls = self.count_loss_calls(monkeypatch)
+        v = MethodVariant(terms, multiscale=True, K=1)
+        _, session = synth_multiscale(periodic_rgb(16), v, three_layer_net(), 0, lbfgs=lbfgs,
+                                      stats_layers=["c1", "p1"])
+        assert [rec["trace"]["termination"] for rec in session.scales] == [termination] * 2
+        assert len(calls) == sum(rec["trace"]["n_evals"] for rec in session.scales)
+
+    @pytest.mark.parametrize("probe_last", [False, True],
+                             ids=["line_search_failure", "probe-off-the-result"])
+    def test_final_terms_are_at_the_result(self, monkeypatch, probe_last):
+        if probe_last:
+            minimize = optim.minimize
+
+            def minimize_then_probe(fun, x0, cfg):
+                x, trace = minimize(fun, x0, cfg)
+                fun(x + 0.25)  # the optimizer's last evaluation is not at its result
+                return x, trace
+
+            monkeypatch.setattr(optim, "minimize", minimize_then_probe)
+        ex = periodic_rgb(16)
+        v = MethodVariant(("spectrum",))
+        result, trace, record = synth_single_scale(ex, v, None, 0,
+                                                   lbfgs=LbfgsConfig(grad_tol=0.0))
+        assert trace.termination == "line_search_failure"
+        fresh = losses.total_loss(result, v, losses.compute_targets(ex, v, None))
+        assert record["final_terms"] == fresh.terms
+        assert record["final_spectrum_distance"] == fresh.spectrum_distance
 
 
 class TestMultiscale:

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid input or config.
 Errors go to stderr as one JSON object {"error", "message"}. The synth
 options are the fields of RunConfig: each is a flag and a key of the JSON
 config file (strict schema; the key has `_` where the flag has `-`). A
---config file or a --replay session presets them; explicit flags win.
+--config file or a --replay session presets them; explicit flags win. An
+output that is the same file as an input or another output exits 2 first.
 --jobs fans out over independent images only, capped by TEXSYNTH_THREADS.
 """
 
@@ -266,6 +267,9 @@ def cmd_synth(args) -> int:
         raise CliError("an exemplar is required (flag --exemplar or config)")
     if not cfg.out:
         raise CliError("an output path is required (flag --out or config)")
+    session_path = cfg.session or str(Path(cfg.out).with_suffix("")) + ".session.json"
+    _refuse_overwrite([("--exemplar", cfg.exemplar), ("--net-weights", cfg.net_weights)],
+                      [("--out", cfg.out), ("--session", session_path), ("--curve", cfg.curve)])
     exemplar = read_image(cfg.exemplar)
     if recorded is not None and synth.exemplar_hash(exemplar) != recorded.exemplar.get("sha256"):
         raise CliError(f"exemplar at {cfg.exemplar} does not match the session hash")
@@ -298,7 +302,6 @@ def cmd_synth(args) -> int:
     )
     write_image(result, cfg.out, bits=cfg.bits)
     session.output = {"path": str(cfg.out), "bits": cfg.bits}
-    session_path = cfg.session or str(Path(cfg.out).with_suffix("")) + ".session.json"
     with open(session_path, "w") as fh:
         fh.write(session.to_json())
         fh.write("\n")
@@ -312,6 +315,18 @@ def cmd_synth(args) -> int:
     final = session.scales[-1]["trace"]["values"][-1]
     print(f"final loss {final:.6g}; wrote {cfg.out} and {session_path}")
     return 0
+
+
+def _refuse_overwrite(inputs, outputs) -> None:
+    """Reject an output (flag, path) that is an input's or another output's file."""
+    claimed = {os.path.realpath(path): flag for flag, path in inputs if path}
+    for flag, path in outputs:
+        if path and path != "-":
+            real = os.path.realpath(path)
+            if real in claimed:
+                raise CliError(f"{flag} {path} is the same file as {claimed[real]}, "
+                               "which it would overwrite")
+            claimed[real] = flag
 
 
 def _open_out(path):
@@ -354,6 +369,8 @@ def _method_names(paths) -> list[str]:
 
 def cmd_eval_ds(args) -> int:
     methods = _method_names(args.synth)
+    _refuse_overwrite([("--exemplar", args.exemplar)] + [("--synth", p) for p in args.synth],
+                      [("--out", args.out)])
     exemplar = read_image(args.exemplar)
     image_id = args.image_id or Path(args.exemplar).stem
 
@@ -376,6 +393,8 @@ def cmd_eval_ds(args) -> int:
 
 def cmd_eval_klw(args) -> int:
     methods = _method_names(args.synth)
+    _refuse_overwrite([("--ref", args.ref)] + [("--synth", p) for p in args.synth],
+                      [("--out", args.out)])
     ref = read_image(args.ref)
     image_id = args.image_id or Path(args.ref).stem
 

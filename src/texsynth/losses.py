@@ -12,7 +12,9 @@ Three terms, each differentiable w.r.t. the synthesized image:
 
 Each feature term is one per-layer statistic S(f) returned with its
 adjoint (S(f) - target, w) -> cotangent of w |S(f) - target|^2; one loop
-and one target type (FeatureTarget) serve both.
+and one target type (FeatureTarget) serve both. compute_targets alone picks
+the layers they read: the network's default statistics layers unless others
+are asked for, less those under 2x2 at the exemplar's size.
 
 DFT convention is numpy's: unnormalized forward, 1/N inverse. The total
 loss is gram + beta * spectrum + autocorr over whichever terms a variant
@@ -21,7 +23,7 @@ activates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,11 +63,19 @@ class SpectrumTarget:
         return self.freq.shape
 
 
-@dataclass
+@dataclass(frozen=True)
 class StatTargets:
+    """Exemplar statistics of the active terms, and the layers kept and dropped."""
+
     gram: FeatureTarget | None = None
     spectrum: SpectrumTarget | None = None
     autocorr: FeatureTarget | None = None
+    dropped_layers: list[str] = field(default_factory=list)
+    stats_layers: list[str] = field(init=False)
+
+    def __post_init__(self):
+        names = [n for t in (self.gram, self.autocorr) if t is not None for n in t.stats]
+        object.__setattr__(self, "stats_layers", list(dict.fromkeys(names)))
 
 
 @dataclass
@@ -214,27 +224,39 @@ def compute_targets(exemplar, cfg, network=None, layers=None,
                     layer_weight=DEFAULT_LAYER_WEIGHT) -> StatTargets:
     """Exemplar statistics for the terms a variant activates.
 
-    `layers` defaults to the network's standard statistics layers; feature
+    `layers` defaults to the network's standard statistics layers, less those
+    under 2x2 at the exemplar's size (recorded as `dropped_layers`); feature
     terms require `network`, the spectrum term does not.
     """
     terms = set(cfg.terms)
     unknown = terms - set(TERM_NAMES)
     if unknown:
         raise ValueError(f"unknown loss terms: {sorted(unknown)}")
-    targets = StatTargets()
+    data = _as_array(exemplar)
+    found, dropped = {}, []
     if terms & set(FEATURE_TERMS):
         if network is None:
             raise ValueError("feature-statistics terms need a network")
         if layers is None:
-            layers = network.default_stats_layers()
-        feats = netmod.forward(network, exemplar, layers)
+            layers = [name for name in netmod.DEFAULT_STATS_LAYERS if name in network.names]
+            if not layers:
+                raise ValueError("the network has none of the default statistics layers "
+                                 f"{list(netmod.DEFAULT_STATS_LAYERS)}")
+        h, w = data.shape[:2]
+        dims = network.layer_dims(h, w)
+        # an unknown name is kept, for net.forward to reject
+        dropped = [name for name in layers if name in dims and min(dims[name][:2]) < 2]
+        kept = [name for name in layers if name not in dropped]
+        if not kept:
+            raise ValueError(f"no statistics layer has a >= 2x2 feature map at {h}x{w}")
+        feats = netmod.forward(network, data, kept)
         term_targets = {"gram": gram_target, "autocorr": autocorr_target}
         for term in FEATURE_TERMS:
             if term in terms:
-                setattr(targets, term, term_targets[term](feats, layer_weight))
+                found[term] = term_targets[term](feats, layer_weight)
     if "spectrum" in terms:
-        targets.spectrum = spectrum_target(exemplar)
-    return targets
+        found["spectrum"] = spectrum_target(data)
+    return StatTargets(**found, dropped_layers=dropped)
 
 
 def total_loss(img, cfg, targets: StatTargets, network=None) -> LossReport:
@@ -250,11 +272,8 @@ def total_loss(img, cfg, targets: StatTargets, network=None) -> LossReport:
     spectrum_distance = None
 
     active = {term: getattr(targets, term) for term in FEATURE_TERMS if term in terms}
-    feature_layers = set().union(*(target.stats for target in active.values()))
-    if feature_layers:
-        if network is None:
-            raise ValueError("feature-statistics terms need a network")
-        feats, pull = netmod.forward_with_pullback(network, data, sorted(feature_layers))
+    if active:
+        feats, pull = netmod.forward_with_pullback(network, data, targets.stats_layers)
         cots = {name: np.zeros_like(f) for name, f in feats.items()}
         # looked up per call, so that rebinding a module-level name takes effect
         term_losses = {"gram": gram_loss, "autocorr": autocorr_loss}

@@ -223,10 +223,6 @@ class Network:
             dims[spec.name] = (h, w, spec.out_ch)
         return dims
 
-    def default_stats_layers(self) -> list[str]:
-        """The DEFAULT_STATS_LAYERS this network has, in that order."""
-        return [n for n in DEFAULT_STATS_LAYERS if n in self.names]
-
 
 def make_network(arch: str = "vgg-mini", in_channels: int = 3, seed: int = 0,
                  pool: str = "avg") -> Network:

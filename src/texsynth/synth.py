@@ -5,7 +5,8 @@ initialization is used, e.g. "gram+spectrum+msinit". Synthesis always
 starts from seeded white noise matched to the exemplar's per-channel
 mean and variance; with msinit the coarsest pyramid level is synthesized
 first and each finer level starts from the bilinear upsampling of the
-previous result. K = 0 collapses to the single-scale path.
+previous result. K = 0 collapses to the single-scale path. Each scale's
+statistics layers, and those dropped as under 2x2, are losses.compute_targets'.
 
 Every run is deterministic in (exemplar, variant, seed, network), and a
 SynthSession records enough to replay it bit for bit.
@@ -85,22 +86,6 @@ def exemplar_hash(exemplar: Image) -> str:
     return hashlib.sha256(serialize_pnm(exemplar)).hexdigest()
 
 
-def active_stats_layers(network: netmod.Network, h: int, w: int,
-                        stats_layers=None) -> tuple[list[str], list[str]]:
-    """Stats layers whose feature maps are at least 2x2 at h x w input,
-    plus the list of layers dropped by that rule."""
-    if stats_layers is None:
-        stats_layers = network.default_stats_layers()
-    dims = network.layer_dims(h, w)
-    kept, dropped = [], []
-    for name in stats_layers:
-        if min(dims[name][:2]) >= 2:
-            kept.append(name)
-        else:
-            dropped.append(name)
-    return kept, dropped
-
-
 @dataclass
 class SynthSession:
     """Everything needed to replay a run and audit its loss curves.
@@ -134,11 +119,6 @@ def _net_desc(network: netmod.Network) -> dict:
     }
 
 
-def _channel_stats(img: Image):
-    data = img.data
-    return data.mean(axis=(0, 1)), data.std(axis=(0, 1))
-
-
 def synth_single_scale(exemplar: Image, variant: MethodVariant,
                        network: netmod.Network | None, seed: int,
                        init: Image | None = None,
@@ -151,29 +131,13 @@ def synth_single_scale(exemplar: Image, variant: MethodVariant,
     statistics, drawn from `seed`. Dimensions of init and exemplar must
     agree: statistics targets are computed at the exemplar's size.
     """
-    if init is not None and (init.h, init.w, init.c) != (exemplar.h, exemplar.w, exemplar.c):
-        raise ValueError(
-            f"init dims {(init.h, init.w, init.c)} != exemplar dims "
-            f"{(exemplar.h, exemplar.w, exemplar.c)}"
-        )
+    data = exemplar.data
     if init is None:
-        mean, std = _channel_stats(exemplar)
-        init = white_noise(exemplar.h, exemplar.w, exemplar.c, seed, mean, std)
-    lbfgs = lbfgs or optim.LbfgsConfig()
-
-    kept, dropped = [], []
-    if set(variant.terms) & set(losses.FEATURE_TERMS):
-        if network is None:
-            raise ValueError("feature-statistics terms need a network")
-        kept, dropped = active_stats_layers(network, exemplar.h, exemplar.w, stats_layers)
-        if not kept:
-            raise ValueError(
-                f"no statistics layer has a >= 2x2 feature map at "
-                f"{exemplar.h}x{exemplar.w}"
-            )
-    targets = losses.compute_targets(
-        exemplar, variant, network, layers=kept or None, layer_weight=layer_weight
-    )
+        init = white_noise(*data.shape, seed, data.mean(axis=(0, 1)), data.std(axis=(0, 1)))
+    elif init.data.shape != data.shape:
+        raise ValueError(f"init dims {init.data.shape} != exemplar dims {data.shape}")
+    targets = losses.compute_targets(exemplar, variant, network, layers=stats_layers,
+                                     layer_weight=layer_weight)
     shape = init.data.shape
     latest = None  # (point, report) of the latest evaluation
 
@@ -191,8 +155,8 @@ def synth_single_scale(exemplar: Image, variant: MethodVariant,
         final = losses.total_loss(result, variant, targets, network)
     record = {
         "dims": [exemplar.h, exemplar.w, exemplar.c],
-        "stats_layers": kept,
-        "dropped_layers": dropped,
+        "stats_layers": targets.stats_layers,
+        "dropped_layers": targets.dropped_layers,
         "trace": asdict(trace),
         "final_terms": {k: float(v) for k, v in final.terms.items()},
         "final_spectrum_distance": final.spectrum_distance,

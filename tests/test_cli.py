@@ -19,7 +19,7 @@ from texsynth import cli, synth
 from texsynth.cli import RunConfig, main
 from texsynth.ggd import LOG_ZERO_SENTINEL
 from texsynth.imagecore import Image, as_array, read_image, write_image
-from texsynth.net import random_weights, save_weights, vgg_mini
+from texsynth.net import LayerSpec, random_weights, save_weights, vgg_mini
 
 
 def smooth_rgb(n=16, phase=0.0):
@@ -390,6 +390,56 @@ class TestSynth:
         assert rc == 2
         assert stderr_payload(capsys)["error"] == "TooManyScales"
 
+    @pytest.mark.parametrize("paths, clash", [
+        ({"out": "a.ppm", "session": "a.ppm"}, "--session"),
+        ({"out": "a.ppm", "curve": "a.ppm"}, "--curve"),
+        ({"out": "a.ppm", "session": "s.json", "curve": "s.json"}, "--curve"),
+        ({"out": "ex.ppm"}, "--out"),
+        ({"out": "link.ppm"}, "--out"),  # a symlink to the exemplar
+        ({"out": "a.ppm", "curve": "ex.ppm"}, "--curve"),
+        ({"out": "a.ppm", "session": "w.bin"}, "--session"),
+    ], ids=["session-is-out", "curve-is-out", "curve-is-session", "out-is-exemplar",
+            "out-links-to-exemplar", "curve-is-exemplar", "session-is-weights"])
+    def test_an_output_that_is_an_input_or_another_output_exits_2_before_any_read(
+            self, tmp_path, capsys, monkeypatch, paths, clash):
+        ex = save_rgb(tmp_path / "ex.ppm")
+        (tmp_path / "link.ppm").symlink_to(ex)
+        weights = tmp_path / "w.bin"
+        save_weights(random_weights(vgg_mini(3), seed=5), weights)
+        before = {path: path.read_bytes() for path in (Path(ex), weights)}
+        monkeypatch.chdir(tmp_path)
+
+        def fail(path):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "read_image", fail)
+        monkeypatch.setattr(cli.netmod, "load_weights", fail)
+        argv = ["synth", "--exemplar", "ex.ppm", "--net-weights", "w.bin", "--variant", "gram"]
+        for flag, path in paths.items():
+            argv += [f"--{flag}", path]
+        assert main(argv) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "CliError"
+        assert payload["message"].startswith(f"{clash} ")
+        assert {path: path.read_bytes() for path in before} == before
+        assert sorted(os.listdir(tmp_path)) == ["ex.ppm", "link.ppm", "w.bin"]
+
+    def test_weights_without_the_default_statistics_layers_are_named(self, tmp_path, capsys):
+        specs = (
+            LayerSpec("c1", "conv3x3", 3, 4),
+            LayerSpec("r1", "relu", 4, 4),
+            LayerSpec("p1", "pool2", 4, 4),
+        )
+        weights = tmp_path / "w.bin"
+        save_weights(random_weights(specs, seed=1), weights)
+        ex = save_rgb(tmp_path / "ex.ppm", n=64)
+        rc = main(["synth", "--exemplar", ex, "--out", str(tmp_path / "x.ppm"),
+                   "--net-weights", str(weights), "--variant", "gram"])
+        assert rc == 2
+        message = stderr_payload(capsys)["message"]
+        assert message == ("the network has none of the default statistics layers "
+                           "['conv1_1', 'pool1', 'pool2', 'pool3']")
+
     def test_no_subcommand_exits_2(self, capsys):
         rc = main([])
         assert rc == 2
@@ -522,6 +572,30 @@ def test_repeated_method_stems_exit_2_before_any_search(tmp_path, capsys, monkey
     payload = stderr_payload(capsys)
     assert payload["error"] == "CliError" and "['x']" in payload["message"]
     assert not (tmp_path / "maps").exists() and not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("command, clash", [
+    ("eval-ds", "exemplar"), ("eval-ds", "synth"), ("eval-klw", "exemplar"),
+    ("eval-klw", "synth"),
+])
+def test_an_eval_out_that_is_an_input_exits_2_before_any_read(tmp_path, capsys, monkeypatch,
+                                                             command, clash):
+    ex = save_rgb(tmp_path / "ex.ppm")
+    synths = [save_rgb(tmp_path / "a.ppm", phase=1.0), save_rgb(tmp_path / "b.ppm", phase=2.0)]
+    before = {path: Path(path).read_bytes() for path in [ex, *synths]}
+
+    def fail(path):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "read_image", fail)
+    out = ex if clash == "exemplar" else synths[1]
+    ref = ["--exemplar", ex] if command == "eval-ds" else ["--ref", ex, "--scales", "2"]
+    rc = main([command, *ref, "--synth", *synths, "--out", out])
+    assert rc == 2
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "CliError"
+    assert payload["message"].startswith(f"--out {out} is the same file as ")
+    assert {path: Path(path).read_bytes() for path in before} == before
 
 
 def write_duels(path, rows):

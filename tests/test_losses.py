@@ -23,9 +23,10 @@ from texsynth.losses import (
     spectrum_loss,
     spectrum_project,
     spectrum_target,
+    StatTargets,
     total_loss,
 )
-from texsynth.net import LayerSpec, Network, random_weights
+from texsynth.net import LayerSpec, Network, forward as net_forward, random_weights
 from texsynth.synth import MethodVariant
 
 
@@ -272,6 +273,18 @@ class TestTargetsAndTotal:
         report = total_loss(img, variant, targets, net)
         assert report.total == report.terms["gram"]
         assert report.spectrum_distance is None
+
+    def test_hand_built_targets_name_their_layers(self):
+        rng = np.random.default_rng(21)
+        net = tiny_net()
+        variant = MethodVariant(("gram",))
+        feats = {"p1": rng.standard_normal((4, 4, 4))}
+        targets = StatTargets(gram=gram_target(feats, 2.0))
+        assert targets.stats_layers == ["p1"] and targets.dropped_layers == []
+        x = rng.random((8, 8, 3))
+        report = total_loss(x, variant, targets, net)
+        f = net_forward(net, x, ["p1"])
+        assert report.total == gram_loss(f, targets.gram)[0]
 
     def test_total_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(20)

@@ -7,13 +7,12 @@ import pytest
 
 from texsynth import losses, optim
 from texsynth.imagecore import Image, serialize_pnm
-from texsynth.losses import spectrum_loss, spectrum_target
+from texsynth.losses import compute_targets, spectrum_loss, spectrum_target
 from texsynth.net import LayerSpec, Network, make_network, random_weights
 from texsynth.optim import LbfgsConfig
 from texsynth.synth import (
     MethodVariant,
     SynthSession,
-    active_stats_layers,
     exemplar_hash,
     synth_multiscale,
     synth_single_scale,
@@ -91,17 +90,47 @@ class TestWhiteNoise:
 
 
 class TestStatsLayers:
-    def test_tiny_input_drops_deep_layers(self):
+    """compute_targets picks the layers and drops those under 2x2."""
+
+    def layers(self, n, stats_layers=None):
         net = make_network(in_channels=3, seed=0)
-        kept, dropped = active_stats_layers(net, 8, 8)
+        targets = compute_targets(periodic_rgb(n), MethodVariant(("gram", "autocorr")), net,
+                                  layers=stats_layers)
+        assert list(targets.gram.stats) == list(targets.autocorr.stats) == targets.stats_layers
+        return targets.stats_layers, targets.dropped_layers
+
+    def test_tiny_input_drops_deep_layers(self):
+        kept, dropped = self.layers(8)
         assert kept == ["conv1_1", "pool1", "pool2"]
         assert dropped == ["pool3"]
 
     def test_large_input_keeps_all(self):
-        net = make_network(in_channels=3, seed=0)
-        kept, dropped = active_stats_layers(net, 64, 64)
+        kept, dropped = self.layers(64)
         assert kept == ["conv1_1", "pool1", "pool2", "pool3"]
         assert dropped == []
+
+    def test_requested_layers_obey_the_same_rule(self):
+        kept, dropped = self.layers(4, ["conv1_2", "pool2", "pool1"])
+        assert kept == ["conv1_2", "pool1"]
+        assert dropped == ["pool2"]
+
+    def test_only_sub_2x2_layers_raise(self):
+        with pytest.raises(ValueError, match=r"no statistics layer has a >= 2x2 feature map at 4x4"):
+            self.layers(4, ["pool2", "pool3"])
+
+    def test_unknown_layers_reach_the_network(self):
+        with pytest.raises(ValueError, match="unknown layers requested"):
+            self.layers(8, ["pool1", "pool9"])
+
+    def test_scale_records_list_kept_and_dropped_layers(self):
+        v = MethodVariant(("gram",), multiscale=True, K=1)
+        _, session = synth_multiscale(periodic_rgb(16), v, make_network(in_channels=3, seed=0),
+                                      0, lbfgs=LbfgsConfig(max_iter=0))
+        assert [(rec["k"], rec["stats_layers"], rec["dropped_layers"])
+                for rec in session.scales] == [
+            (1, ["conv1_1", "pool1", "pool2"], ["pool3"]),
+            (0, ["conv1_1", "pool1", "pool2", "pool3"], []),
+        ]
 
 
 class TestSingleScale:

@@ -22,6 +22,7 @@ from .displacement import displacement_map, displacement_to_rgb, ds_score
 from .ggd import DegenerateSample, GGDParams, fit_ggd, kl_ggd, texture_distance_klw
 from .imagecore import (
     Image,
+    InputError,
     RasterFormatError,
     TooManyScales,
     build_pyramid,

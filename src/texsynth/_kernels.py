@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .imagecore import InputError
+
 
 def _nine_shifts(x: np.ndarray, taps: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out += sum over (u, v) in raster order of shift (u, v) of the
@@ -90,11 +92,11 @@ def displacement_search(synth: np.ndarray, exemplar: np.ndarray, patch: int) -> 
     synth center. Ties go to the lexicographically smallest (dy, dx).
     """
     if patch < 1 or patch % 2 == 0:
-        raise ValueError(f"patch size must be odd and positive, got {patch}")
+        raise InputError(f"patch size must be odd and positive, got {patch}")
     if min(synth.shape[:2]) < patch or min(exemplar.shape[:2]) < patch:
-        raise ValueError("patch size exceeds image dimensions")
+        raise InputError("patch size exceeds image dimensions")
     if synth.shape[2] != exemplar.shape[2]:
-        raise ValueError("channel counts differ")
+        raise InputError("channel counts differ")
     s_cols, a = _windows(synth, patch)
     e_cols, b = _windows(exemplar, patch)
     k = a[0].size

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imagecore import InputError
 
-class DisconnectedGraph(Exception):
+
+class DisconnectedGraph(InputError):
     """The comparison graph does not connect all methods."""
 
 
@@ -56,9 +58,9 @@ class DuelDataset:
         names: set[str] = set()
         for a, b, winner in records:
             if a == b:
-                raise ValueError(f"self-duel for method {a!r}")
+                raise InputError(f"self-duel for method {a!r}")
             if winner not in (a, b):
-                raise ValueError(f"winner {winner!r} is neither {a!r} nor {b!r}")
+                raise InputError(f"winner {winner!r} is neither {a!r} nor {b!r}")
             names.update((a, b))
             loser = b if winner == a else a
             counts[(winner, loser)] = counts.get((winner, loser), 0.0) + 1.0
@@ -93,7 +95,7 @@ def load_duels(path, scale=None, image_ids=None) -> DuelDataset:
         reader = csv.DictReader(fh)
         needed = {"method_a", "method_b", "winner", "image_id", "scale"}
         if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-            raise ValueError(
+            raise InputError(
                 f"duel CSV must have columns {sorted(needed)}, "
                 f"got {reader.fieldnames}"
             )
@@ -104,7 +106,7 @@ def load_duels(path, scale=None, image_ids=None) -> DuelDataset:
                 continue
             records.append((row["method_a"], row["method_b"], row["winner"]))
     if not records:
-        raise ValueError("no duels left after filtering")
+        raise InputError("no duels left after filtering")
     return DuelDataset.from_records(records)
 
 

@@ -1,12 +1,14 @@
 """Command line interface.
 
 Subcommands: synth, eval-ds, eval-klw, bt-fit, project-spectrum, selftest.
-Exit codes: 0 success, 1 runtime failure, 2 invalid input or config.
-Errors go to stderr as one JSON object {"error", "message"}. The synth
-options are the fields of RunConfig: each is a flag and a key of the JSON
-config file (strict schema; the key has `_` where the flag has `-`). A
---config file or a --replay session presets them; explicit flags win. An
-output that is the same file as an input or another output exits 2 first.
+Exit 2 is bad input: an InputError (CliError is one), or a user file that
+is missing, a directory, or not valid JSON or text. Every other exception
+exits 1. Either way stderr gets one JSON object {"error", "message"}. The
+synth options are the fields of RunConfig: each is a flag and a key of the
+JSON config file (strict schema; the key has `_` where the flag has `-`). A
+--config file or a --replay session presets them; explicit flags win. In
+every command, an output that is the same file as an input (--config and
+--replay included) or as another output exits 2 before anything is written.
 --jobs fans out over independent images only, capped by TEXSYNTH_THREADS.
 """
 
@@ -28,34 +30,11 @@ import numpy as np
 from . import bradley_terry, displacement, ggd, losses
 from . import net as netmod
 from . import optim, selftest, synth
-from .imagecore import RasterFormatError, TooManyScales, read_image, write_image
-from .wavelets import WaveletScaleError
+from .imagecore import InputError, read_image, write_image
 
 
-class CliError(Exception):
+class CliError(InputError):
     """Invalid flags, config, or input files; exits 2."""
-
-
-_USAGE_ERRORS = (
-    CliError,
-    RasterFormatError,
-    netmod.WeightsFormatError,
-    TooManyScales,
-    WaveletScaleError,
-    bradley_terry.DisconnectedGraph,
-    ValueError,
-    FileNotFoundError,
-    IsADirectoryError,
-    json.JSONDecodeError,
-)
-
-_RUNTIME_ERRORS = (
-    optim.NonFiniteObjective,
-    bradley_terry.SeparationDivergence,
-    ggd.DegenerateSample,
-    RuntimeError,
-    OSError,
-)
 
 
 def _option(default, help=None):
@@ -91,6 +70,8 @@ class RunConfig:
 
     def __post_init__(self):
         for name, ok, rule in (
+            ("seed", self.seed >= 0, ">= 0"),
+            ("net_seed", self.net_seed >= 0, ">= 0"),
             ("iterations", self.iterations >= 0, ">= 0"),
             ("history", self.history >= 0, ">= 0"),
             ("grad_tol", self.grad_tol >= 0, ">= 0"),  # False for NaN
@@ -219,6 +200,7 @@ def _config_from_args(args) -> tuple[RunConfig, synth.SynthSession | None]:
 
 
 _FILE_PROVENANCE = re.compile(r"file\((.*), crc32=[0-9a-f]{8}\)", re.DOTALL)
+_RANDOM_PROVENANCE = re.compile(r"random\(seed=([0-9]+)\)")
 
 
 def _config_from_session(path) -> tuple[dict, synth.SynthSession]:
@@ -236,8 +218,8 @@ def _config_from_session(path) -> tuple[dict, synth.SynthSession]:
         if session.net is not None:
             values["pool"] = session.net["pool"]
             prov = session.net["provenance"]
-            if prov.startswith("random(seed="):
-                values["net_seed"] = int(prov[len("random(seed=") : -1])
+            if match := _RANDOM_PROVENANCE.fullmatch(prov):
+                values["net_seed"] = int(match.group(1))
             elif match := _FILE_PROVENANCE.fullmatch(prov):
                 values["net_weights"] = match.group(1)
             else:
@@ -268,7 +250,8 @@ def cmd_synth(args) -> int:
     if not cfg.out:
         raise CliError("an output path is required (flag --out or config)")
     session_path = cfg.session or str(Path(cfg.out).with_suffix("")) + ".session.json"
-    _refuse_overwrite([("--exemplar", cfg.exemplar), ("--net-weights", cfg.net_weights)],
+    _refuse_overwrite([("--exemplar", cfg.exemplar), ("--net-weights", cfg.net_weights),
+                       ("--config", args.config), ("--replay", args.replay)],
                       [("--out", cfg.out), ("--session", session_path), ("--curve", cfg.curve)])
     exemplar = read_image(cfg.exemplar)
     if recorded is not None and synth.exemplar_hash(exemplar) != recorded.exemplar.get("sha256"):
@@ -369,8 +352,9 @@ def _method_names(paths) -> list[str]:
 
 def cmd_eval_ds(args) -> int:
     methods = _method_names(args.synth)
+    maps = [os.path.join(args.disp_dir, f"{m}.disp.ppm") for m in methods] if args.disp_dir else []
     _refuse_overwrite([("--exemplar", args.exemplar)] + [("--synth", p) for p in args.synth],
-                      [("--out", args.out)])
+                      [("--out", args.out)] + [("--disp-dir", path) for path in maps])
     exemplar = read_image(args.exemplar)
     image_id = args.image_id or Path(args.exemplar).stem
 
@@ -380,14 +364,12 @@ def cmd_eval_ds(args) -> int:
         return disp, displacement.ds_score(disp)
 
     results = _pmap(one, list(args.synth), args.jobs)
-    rows = []
-    for method, (disp, score) in zip(methods, results):
-        rows.append([image_id, method, "ds", repr(score)])
-        if args.disp_dir:
-            os.makedirs(args.disp_dir, exist_ok=True)
-            out = Path(args.disp_dir) / f"{method}.disp.ppm"
-            write_image(displacement.displacement_to_rgb(disp), out, bits=8)
-    _metric_rows(args.out, rows)
+    if maps:
+        os.makedirs(args.disp_dir, exist_ok=True)
+    for path, (disp, _) in zip(maps, results):
+        write_image(displacement.displacement_to_rgb(disp), path, bits=8)
+    _metric_rows(args.out, [[image_id, method, "ds", repr(score)]
+                            for method, (_, score) in zip(methods, results)])
     return 0
 
 
@@ -439,6 +421,8 @@ def _load_classes(path) -> dict[str, str]:
 
 
 def cmd_bt_fit(args) -> int:
+    _refuse_overwrite([("--duels", args.duels), ("--classes", args.classes)],
+                      [("--out", args.out)])
     filters = _parse_filters(args.filter)
     image_ids = None
     if "image-class" in filters:
@@ -471,6 +455,8 @@ def cmd_bt_fit(args) -> int:
 
 
 def cmd_project_spectrum(args) -> int:
+    _refuse_overwrite([("--exemplar", args.exemplar), ("--image", args.image)],
+                      [("--out", args.out)])
     exemplar = read_image(args.exemplar)
     image = read_image(args.image)
     target = losses.spectrum_target(exemplar)
@@ -490,12 +476,12 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
-    # usage first: FileNotFoundError is an OSError but means bad input, not
-    # a runtime failure
-    except _USAGE_ERRORS as exc:
+    # reading a user file raises these builtins; they are bad input too
+    except (InputError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         _emit_error(exc)
         return 2
-    except _RUNTIME_ERRORS as exc:
+    except Exception as exc:  # a runtime failure or a bug
         _emit_error(exc)
         return 1
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import displacement_search
-from .imagecore import Image, as_array as _as_array
+from .imagecore import Image, InputError, as_array as _as_array
 
 DEFAULT_PATCH = 5
 
@@ -41,7 +41,7 @@ def ds_score(disp: np.ndarray) -> float:
     eq_v = np.all(disp[1:] == disp[:-1], axis=2)
     total = eq_h.size + eq_v.size
     if total == 0:
-        raise ValueError("offset map too small: no 4-neighbor pairs")
+        raise InputError("offset map too small: no 4-neighbor pairs")
     # each unordered adjacent pair counts twice in the ordered tally,
     # which cancels in the ratio
     return 1.0 - (int(eq_h.sum()) + int(eq_v.sum())) / total

@@ -13,11 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class RasterFormatError(Exception):
+class InputError(ValueError):
+    """A check on input from outside the program failed: a file, flag or config.
+
+    The command line exits 2 on these and 1 on every other exception.
+    """
+
+
+class RasterFormatError(InputError):
     """Malformed or unsupported raster file."""
 
 
-class TooManyScales(Exception):
+class TooManyScales(InputError):
     """Pyramid depth would shrink the coarsest level below 8 pixels on a side."""
 
 

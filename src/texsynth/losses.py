@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net as netmod
-from .imagecore import Image, as_array as _as_array
+from .imagecore import Image, InputError, as_array as _as_array
 
 DEFAULT_BETA = 1e5
 DEFAULT_LAYER_WEIGHT = 1e9
@@ -181,7 +181,7 @@ def spectrum_project(img, target: SpectrumTarget):
     if flat:
         data = data[:, :, None]
     if data.shape != target.shape:
-        raise ValueError(f"image shape {data.shape} != target shape {target.shape}")
+        raise InputError(f"image shape {data.shape} != target shape {target.shape}")
     fimg = np.fft.fft2(data, axes=(0, 1))
     cross = np.sum(fimg * np.conj(target.freq), axis=2)
     mod = np.abs(cross)
@@ -240,7 +240,7 @@ def compute_targets(exemplar, cfg, network=None, layers=None,
         if layers is None:
             layers = [name for name in netmod.DEFAULT_STATS_LAYERS if name in network.names]
             if not layers:
-                raise ValueError("the network has none of the default statistics layers "
+                raise InputError("the network has none of the default statistics layers "
                                  f"{list(netmod.DEFAULT_STATS_LAYERS)}")
         h, w = data.shape[:2]
         dims = network.layer_dims(h, w)
@@ -248,7 +248,7 @@ def compute_targets(exemplar, cfg, network=None, layers=None,
         dropped = [name for name in layers if name in dims and min(dims[name][:2]) < 2]
         kept = [name for name in layers if name not in dropped]
         if not kept:
-            raise ValueError(f"no statistics layer has a >= 2x2 feature map at {h}x{w}")
+            raise InputError(f"no statistics layer has a >= 2x2 feature map at {h}x{w}")
         feats = netmod.forward(network, data, kept)
         term_targets = {"gram": gram_target, "autocorr": autocorr_target}
         for term in FEATURE_TERMS:

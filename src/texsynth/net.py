@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .imagecore import as_array, box_average2
+from .imagecore import InputError, as_array, box_average2
 
 DEFAULT_STATS_LAYERS = ("conv1_1", "pool1", "pool2", "pool3")
 
@@ -37,7 +37,7 @@ _WEIGHTS_MAGIC = b"NTWF"
 _WEIGHTS_VERSION = 1
 
 
-class WeightsFormatError(Exception):
+class WeightsFormatError(InputError):
     """Malformed, corrupt, or mismatched network weights file."""
 
 
@@ -88,15 +88,15 @@ ARCHITECTURES = {"vgg-mini": vgg_mini}
 
 def _validate_chain(specs) -> None:
     if not specs:
-        raise ValueError("a network needs at least one layer")
+        raise InputError("a network needs at least one layer")
     prev = None
     seen = set()
     for spec in specs:
         if spec.name in seen:
-            raise ValueError(f"duplicate layer name {spec.name}")
+            raise InputError(f"duplicate layer name {spec.name}")
         seen.add(spec.name)
         if prev is not None and spec.in_ch != prev.out_ch:
-            raise ValueError(
+            raise InputError(
                 f"channel mismatch at {spec.name}: expects {spec.in_ch}, "
                 f"previous layer emits {prev.out_ch}"
             )
@@ -227,7 +227,7 @@ class Network:
 def make_network(arch: str = "vgg-mini", in_channels: int = 3, seed: int = 0,
                  pool: str = "avg") -> Network:
     if arch not in ARCHITECTURES:
-        raise ValueError(f"unknown architecture {arch!r}")
+        raise InputError(f"unknown architecture {arch!r}")
     specs = ARCHITECTURES[arch](in_channels)
     return Network(specs, random_weights(specs, seed), pool=pool)
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import losses, net as netmod, optim
-from .imagecore import Image, build_pyramid, serialize_pnm, upsample_bilinear
+from .imagecore import Image, InputError, build_pyramid, serialize_pnm, upsample_bilinear
 
 DEFAULT_K = 2
 
@@ -40,11 +40,11 @@ class MethodVariant:
     def __post_init__(self):
         bad = set(self.terms) - set(losses.TERM_NAMES)
         if bad:
-            raise ValueError(f"unknown loss terms: {sorted(bad)}")
+            raise InputError(f"unknown loss terms: {sorted(bad)}")
         if not self.terms:
-            raise ValueError("variant needs at least one loss term")
+            raise InputError("variant needs at least one loss term")
         if self.K < 0:
-            raise ValueError(f"K must be >= 0, got {self.K}")
+            raise InputError(f"K must be >= 0, got {self.K}")
 
     @classmethod
     def parse(cls, text: str, beta=None, K=None) -> "MethodVariant":
@@ -52,9 +52,9 @@ class MethodVariant:
         tokens = [t for t in text.split("+") if t]
         bad = set(tokens) - _VARIANT_TOKENS
         if bad:
-            raise ValueError(f"unknown variant tokens: {sorted(bad)}")
+            raise InputError(f"unknown variant tokens: {sorted(bad)}")
         if len(tokens) != len(set(tokens)):
-            raise ValueError(f"repeated tokens in variant {text!r}")
+            raise InputError(f"repeated tokens in variant {text!r}")
         terms = tuple(t for t in tokens if t != "msinit")
         kwargs = {}
         if beta is not None:

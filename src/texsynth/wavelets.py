@@ -21,7 +21,7 @@ LOWPASS = np.array([1.0 + _SQRT3, 3.0 + _SQRT3, 3.0 - _SQRT3, 1.0 - _SQRT3]) / (
 HIGHPASS = np.array([LOWPASS[3], -LOWPASS[2], LOWPASS[1], -LOWPASS[0]])
 
 
-class WaveletScaleError(Exception):
+class WaveletScaleError(imagecore.InputError):
     """Image dimensions cannot support the requested number of scales."""
 
 
@@ -79,7 +79,7 @@ def dwt2_daub4(img, scales: int = 8):
     """
     x = _as_gray2d(img)
     if scales < 1:
-        raise ValueError(f"scales must be >= 1, got {scales}")
+        raise imagecore.InputError(f"scales must be >= 1, got {scales}")
     h, w = x.shape
     if h % 2**scales or w % 2**scales:
         raise WaveletScaleError(

@@ -1,10 +1,12 @@
 """End-to-end command line behavior: exit codes, files written, JSON errors."""
 
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import texsynth
 from texsynth import cli, synth
 from texsynth.cli import RunConfig, main
 from texsynth.ggd import LOG_ZERO_SENTINEL
@@ -47,6 +50,16 @@ def blas_env(threads):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+
+
+def write_session(path, net=None):
+    """A minimal session file: replay reads its options, then the exemplar."""
+    session = synth.SynthSession(
+        exemplar={"path": "ex.ppm", "sha256": ""}, variant="gram", beta=1.0, K=0, seed=0,
+        net=net, layer_weight=1.0, lbfgs={"max_iter": 3, "history": 10, "grad_tol": 0.0},
+        scales=[], output={"path": "x.ppm", "bits": 16})
+    Path(path).write_text(session.to_json())
+    return str(path)
 
 
 def read_csv(text):
@@ -284,13 +297,13 @@ class TestSynth:
     SESSION_KEYS = {"iterations": ("lbfgs", "max_iter"), "history": ("lbfgs", "history"),
                     "grad_tol": ("lbfgs", "grad_tol"), "beta": (None, "beta"),
                     "layer_weight": (None, "layer_weight"), "bits": ("output", "bits"),
-                    "pool": ("net", "pool")}
+                    "pool": ("net", "pool"), "seed": (None, "seed")}
 
     @pytest.mark.parametrize("source", ["flag", "config", "session"])
     @pytest.mark.parametrize("name, value", [
         ("iterations", -3), ("history", -2), ("grad_tol", -1.0), ("grad_tol", math.nan),
         ("beta", math.nan), ("beta", math.inf), ("layer_weight", -math.inf),
-        ("bits", 12), ("pool", "min"),
+        ("bits", 12), ("pool", "min"), ("seed", -1),
     ])
     def test_an_unusable_option_exits_2_before_the_exemplar_is_read(
             self, tmp_path, capsys, monkeypatch, source, name, value):
@@ -398,15 +411,26 @@ class TestSynth:
         ({"out": "link.ppm"}, "--out"),  # a symlink to the exemplar
         ({"out": "a.ppm", "curve": "ex.ppm"}, "--curve"),
         ({"out": "a.ppm", "session": "w.bin"}, "--session"),
+        ({"config": "c.json", "out": "c.json"}, "--out"),
+        ({"config": "c.json", "out": "a.ppm", "session": "c.json"}, "--session"),
+        ({"config": "c.json", "out": "a.ppm", "curve": "c.json"}, "--curve"),
+        ({"replay": "r.session.json", "out": "r.ppm"}, "--session"),
+        ({"replay": "r.session.json", "out": "a.ppm", "session": "r.session.json"},
+         "--session"),
     ], ids=["session-is-out", "curve-is-out", "curve-is-session", "out-is-exemplar",
-            "out-links-to-exemplar", "curve-is-exemplar", "session-is-weights"])
+            "out-links-to-exemplar", "curve-is-exemplar", "session-is-weights",
+            "out-is-config", "session-is-config", "curve-is-config",
+            "default-session-is-replayed", "session-is-replayed"])
     def test_an_output_that_is_an_input_or_another_output_exits_2_before_any_read(
             self, tmp_path, capsys, monkeypatch, paths, clash):
         ex = save_rgb(tmp_path / "ex.ppm")
         (tmp_path / "link.ppm").symlink_to(ex)
         weights = tmp_path / "w.bin"
         save_weights(random_weights(vgg_mini(3), seed=5), weights)
-        before = {path: path.read_bytes() for path in (Path(ex), weights)}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"variant": "gram", "iterations": 3}))
+        session = Path(write_session(tmp_path / "r.session.json"))
+        before = {path: path.read_bytes() for path in (Path(ex), weights, config, session)}
         monkeypatch.chdir(tmp_path)
 
         def fail(path):
@@ -422,7 +446,8 @@ class TestSynth:
         assert payload["error"] == "CliError"
         assert payload["message"].startswith(f"{clash} ")
         assert {path: path.read_bytes() for path in before} == before
-        assert sorted(os.listdir(tmp_path)) == ["ex.ppm", "link.ppm", "w.bin"]
+        assert sorted(os.listdir(tmp_path)) == ["c.json", "ex.ppm", "link.ppm",
+                                                "r.session.json", "w.bin"]
 
     def test_weights_without_the_default_statistics_layers_are_named(self, tmp_path, capsys):
         specs = (
@@ -576,26 +601,61 @@ def test_repeated_method_stems_exit_2_before_any_search(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("command, clash", [
     ("eval-ds", "exemplar"), ("eval-ds", "synth"), ("eval-klw", "exemplar"),
-    ("eval-klw", "synth"),
+    ("eval-klw", "synth"), ("project-spectrum", "exemplar"), ("project-spectrum", "image"),
+    ("bt-fit", "duels"), ("bt-fit", "classes"),
 ])
 def test_an_eval_out_that_is_an_input_exits_2_before_any_read(tmp_path, capsys, monkeypatch,
                                                              command, clash):
     ex = save_rgb(tmp_path / "ex.ppm")
     synths = [save_rgb(tmp_path / "a.ppm", phase=1.0), save_rgb(tmp_path / "b.ppm", phase=2.0)]
-    before = {path: Path(path).read_bytes() for path in [ex, *synths]}
+    duels = write_duels(tmp_path / "duels.csv", duel_rows())
+    classes = tmp_path / "classes.csv"
+    classes.write_text("image_id,class\nimg1,regular\nimg2,irregular\n")
+    before = {path: Path(path).read_bytes() for path in [ex, *synths, duels, classes]}
 
-    def fail(path):
+    def fail(*args, **kwargs):
         raise AssertionError("an input was read")
 
     monkeypatch.setattr(cli, "read_image", fail)
-    out = ex if clash == "exemplar" else synths[1]
-    ref = ["--exemplar", ex] if command == "eval-ds" else ["--ref", ex, "--scales", "2"]
-    rc = main([command, *ref, "--synth", *synths, "--out", out])
+    monkeypatch.setattr(cli.bradley_terry, "load_duels", fail)
+    monkeypatch.setattr(cli, "_load_classes", fail)
+    out = {"exemplar": ex, "synth": synths[1], "image": synths[0], "duels": duels,
+           "classes": str(classes)}[clash]
+    args = {
+        "eval-ds": ["--exemplar", ex, "--synth", *synths],
+        "eval-klw": ["--ref", ex, "--scales", "2", "--synth", *synths],
+        "project-spectrum": ["--exemplar", ex, "--image", synths[0]],
+        "bt-fit": ["--duels", duels, "--classes", str(classes),
+                   "--filter", "image-class=regular"],
+    }[command]
+    rc = main([command, *args, "--out", out])
     assert rc == 2
     payload = stderr_payload(capsys)
     assert payload["error"] == "CliError"
     assert payload["message"].startswith(f"--out {out} is the same file as ")
     assert {path: Path(path).read_bytes() for path in before} == before
+
+
+def test_a_displacement_map_that_is_an_input_exits_2_before_any_read(tmp_path, capsys,
+                                                                    monkeypatch):
+    # method a's map, maps/a.disp.ppm, would overwrite the exemplar
+    (tmp_path / "maps").mkdir()
+    ex = save_rgb(tmp_path / "maps" / "a.disp.ppm")
+    before = Path(ex).read_bytes()
+
+    def fail(path):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "read_image", fail)
+    rc = main(["eval-ds", "--exemplar", ex, "--synth", save_rgb(tmp_path / "a.ppm", phase=1.0),
+               "--disp-dir", str(tmp_path / "maps"), "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "CliError"
+    assert payload["message"] == (f"--disp-dir {ex} is the same file as --exemplar, "
+                                  "which it would overwrite")
+    assert Path(ex).read_bytes() == before
+    assert not (tmp_path / "m.csv").exists()
 
 
 def write_duels(path, rows):
@@ -721,7 +781,7 @@ class TestProjectSpectrum:
         rc = main(["project-spectrum", "--exemplar", ex, "--image", img,
                    "--out", str(tmp_path / "x.ppm")])
         assert rc == 2
-        assert stderr_payload(capsys)["error"] == "ValueError"
+        assert stderr_payload(capsys)["error"] == "InputError"
 
 
 class TestSelftest:
@@ -731,3 +791,89 @@ class TestSelftest:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 6
         assert all(line.startswith("PASS") for line in lines)
+
+
+def bad_input_argv(tmp_path, case):
+    """The command line of each input that is rejected by a check on user input."""
+    ex = save_rgb(tmp_path / "ex.ppm")
+    other = save_rgb(tmp_path / "a.ppm", phase=1.0)
+    synth_args = ["synth", "--exemplar", ex, "--out", str(tmp_path / "x.ppm")]
+    if case == "gray-exemplar-rgb-synth":
+        gray = tmp_path / "gray.pgm"
+        write_image(Image(as_array(smooth_rgb()).mean(axis=2)), gray)
+        return ["eval-ds", "--exemplar", str(gray), "--synth", other]
+    if case == "even-patch":
+        return ["eval-ds", "--exemplar", ex, "--synth", other, "--patch", "4"]
+    if case == "synth-the-size-of-a-patch":  # a 1x1 map has no neighbor pairs
+        return ["eval-ds", "--exemplar", ex, "--synth", save_rgb(tmp_path / "b.ppm", n=5)]
+    if case == "zero-wavelet-scales":
+        return ["eval-klw", "--ref", ex, "--synth", other, "--scales", "0"]
+    if case in ("msinit", "gram+gram"):
+        return synth_args + ["--variant", case]
+    if case == "unknown-arch":
+        return synth_args + ["--arch", "vgg-max", "--variant", "gram"]
+    if case == "negative-net-seed":
+        return synth_args + ["--net-seed", "-1", "--variant", "gram"]
+    if case == "binary-config":
+        config = tmp_path / "c.json"
+        config.write_bytes(b"\xff\xfe\x00\x01")
+        return ["synth", "--config", str(config), "--out", str(tmp_path / "x.ppm")]
+    if case == "self-duel":
+        return ["bt-fit", "--duels", write_duels(tmp_path / "d.csv", [["a", "a", "a", "i", "g"]])]
+    if case == "duplicate-layer-names":
+        specs = vgg_mini(3)
+        weights = random_weights(specs, seed=1)
+        weights.specs = specs + specs[-1:]
+        save_weights(weights, tmp_path / "w.bin")
+        return synth_args + ["--net-weights", str(tmp_path / "w.bin"), "--variant", "gram"]
+    assert case == "non-integer-net-seed"
+    session = write_session(tmp_path / "s.json", net={"provenance": "random(seed=x)",
+                                                      "pool": "avg"})
+    return ["synth", "--replay", session, "--out", str(tmp_path / "x.ppm")]
+
+
+@pytest.mark.parametrize("case", [
+    "gray-exemplar-rgb-synth", "even-patch", "synth-the-size-of-a-patch",
+    "zero-wavelet-scales", "msinit", "gram+gram", "unknown-arch", "negative-net-seed",
+    "binary-config", "self-duel", "duplicate-layer-names", "non-integer-net-seed",
+])
+def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, case):
+    argv = bad_input_argv(tmp_path, case)
+    forbid_synthesis(monkeypatch)
+    capsys.readouterr()
+    assert main(argv) == 2
+    stderr_payload(capsys)
+
+
+@pytest.mark.parametrize("error", [ValueError("internal bug"), KeyError("layer")],
+                         ids=lambda e: type(e).__name__)
+def test_an_internal_error_exits_1_with_one_json_line(tmp_path, capsys, monkeypatch, error):
+    ex = save_rgb(tmp_path / "ex.ppm")
+    other = save_rgb(tmp_path / "a.ppm", phase=1.0)
+
+    def broken(disp):
+        raise error
+
+    monkeypatch.setattr(cli.displacement, "ds_score", broken)
+    assert main(["eval-ds", "--exemplar", ex, "--synth", other]) == 1
+    assert stderr_payload(capsys) == {"error": type(error).__name__, "message": str(error)}
+
+
+# every exception class texsynth defines, by the exit code it stands for
+INPUT_ERRORS = {"InputError", "CliError", "RasterFormatError", "TooManyScales",
+                "WeightsFormatError", "WaveletScaleError", "DisconnectedGraph"}
+RUNTIME_ERRORS = {"NonFiniteObjective", "SeparationDivergence", "DegenerateSample"}
+
+
+def test_every_exception_class_has_a_decided_exit_code():
+    defined = {}
+    for info in pkgutil.iter_modules(texsynth.__path__):
+        module = importlib.import_module(f"texsynth.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__):
+                defined[name] = obj
+    assert INPUT_ERRORS.isdisjoint(RUNTIME_ERRORS)
+    assert set(defined) == INPUT_ERRORS | RUNTIME_ERRORS
+    assert all(issubclass(defined[name], texsynth.InputError) for name in INPUT_ERRORS)
+    assert not any(issubclass(defined[name], ValueError) for name in RUNTIME_ERRORS)

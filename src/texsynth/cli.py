@@ -382,7 +382,8 @@ def cmd_eval_klw(args) -> int:
 
     def one(path):
         img = read_image(path)
-        _, aggregate = ggd.texture_distance_klw(img, ref, scales=args.scales)
+        _, aggregate = ggd.texture_distance_klw(img, ref, scales=args.scales,
+                                                names=(path, args.ref))
         return aggregate
 
     results = _pmap(one, list(args.synth), args.jobs)

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from . import wavelets
-from .imagecore import as_array
+from .imagecore import InputError, as_array
 
 SHAPE_MIN = 0.05
 SHAPE_MAX = 20.0
@@ -26,8 +26,9 @@ LOG_ZERO_SENTINEL = -1e9
 _ORIENTATIONS = ("lh", "hl", "hh")
 
 
-class DegenerateSample(Exception):
-    """Zero-variance sample; a GGD cannot be fit."""
+class DegenerateSample(InputError):
+    """Zero-variance sample; a GGD cannot be fit. A flat subband is a
+    property of the image, so it is bad input."""
 
 
 @dataclass
@@ -96,13 +97,14 @@ def kl_ggd(p: GGDParams, q: GGDParams) -> float:
     return float(log_term + power_term - 1.0 / bp)
 
 
-def texture_distance_klw(a, b, scales: int = 8):
+def texture_distance_klw(a, b, scales: int = 8, names=("a", "b")):
     """Summed subband KL divergence between two textures.
 
     Inputs are averaged to one channel, decomposed with dwt2_daub4, and a
     GGD is fit per detail subband of each image; the per-subband
     KL(a-fit || b-fit) values are summed. Subbands with fewer than 32
-    coefficients are skipped in both images. Returns
+    coefficients are skipped in both images. A zero-variance subband
+    raises DegenerateSample naming its image by `names`. Returns
     ([(scale, orientation, kl), ...], aggregate).
     """
     ga = _to_gray(a)
@@ -118,7 +120,14 @@ def texture_distance_klw(a, b, scales: int = 8):
                 or band_b.size < MIN_SUBBAND_SAMPLES
             ):
                 continue
-            kl = kl_ggd(fit_ggd(band_a), fit_ggd(band_b))
+            fits = []
+            for image, band in zip(names, (band_a, band_b)):
+                try:
+                    fits.append(fit_ggd(band))
+                except DegenerateSample:
+                    raise DegenerateSample(f"{image}: wavelet subband {name} at scale {s} "
+                                           "is constant; GGD fit undefined") from None
+            kl = kl_ggd(*fits)
             per_subband.append((s, name, kl))
             total += kl
     return per_subband, float(total)

@@ -3,8 +3,13 @@
 Works on arrays of any shape; the objective callable returns
 (value, gradient) with the gradient shaped like the iterate. The inverse
 Hessian is held as up to `history` curvature pairs combined by the
-two-loop recursion. The iterates are unconstrained: image values get
-clamped at export time only.
+two-loop recursion, with H0 = gamma * I and gamma = s'y / y'y of the newest
+pair. While no pair is held (at the start, after a restart, and so at the
+start of every msinit scale) H0 = I / |g|_2 (Liu & Nocedal 1989; Nocedal &
+Wright, sec. 3.5): the first trial point then lies at distance 1 from the
+iterate whatever the objective's scale, so multiplying the objective by a
+constant leaves the iterates unchanged. The iterates are unconstrained:
+image values get clamped at export time only.
 
 The line search (Nocedal & Wright, Alg. 3.5/3.6) probes phi(a) ->
 (value, grad, slope) along the direction: from STEP_INIT it doubles to a
@@ -12,9 +17,11 @@ bracket, then zooms by cubic interpolation, at most MAX_LS probes per
 phase, to a step meeting the strong Wolfe conditions with C1 and C2.
 These are module constants, not options.
 
-A failed search is retried once along -g with the history dropped, unless
-the direction already was exactly -g (empty history with gamma = 1, or the
-fallback for a non-descent direction): the retry would repeat its probes.
+A failed search is retried once along -g / |g|_2 with the history dropped,
+unless its direction already was that one: the retry would repeat its
+probes. That is the case when no pair was held (the direction is then
+-H0 g = -g / |g|_2, hence `steepest = not pairs`) or when a non-descent
+direction fell back to the same scaled -g.
 Termination is max_iter, grad_tol (max-norm) or line_search_failure. A
 non-finite probe counts as an infinitely bad point; a non-finite start,
 or a failed search that probed one, raises NonFiniteObjective carrying the
@@ -64,6 +71,11 @@ class OptTrace:
 def _dot(a, b) -> float:
     # not np.vdot: BLAS ddot sums in an order that follows its thread split
     return float(np.add.reduce(a.ravel() * b.ravel()))
+
+
+def _steepest(g):
+    """-H0 g with H0 = I/|g|_2: a unit step along it moves distance 1."""
+    return -(g * (1.0 / np.sqrt(_dot(g, g))))  # two_loop_direction(g, [], 1/|g|)
 
 
 def two_loop_direction(grad, pairs, gamma: float):
@@ -173,7 +185,6 @@ def minimize(fun, x0, cfg: LbfgsConfig | None = None):
     gx = np.asarray(gx, dtype=np.float64)
     trace.values.append(fx)
     pairs = []  # (s, y, rho), oldest first
-    gamma = 1.0
 
     def phi(a):
         nonlocal saw_nonfinite
@@ -194,17 +205,16 @@ def minimize(fun, x0, cfg: LbfgsConfig | None = None):
             trace.termination = "max_iter"
             break
 
-        p = two_loop_direction(gx, pairs, gamma)
-        steepest = not pairs and gamma == 1.0  # then p is exactly -g
+        steepest = not pairs
+        p = _steepest(gx) if steepest else two_loop_direction(gx, pairs, gamma)
         if _dot(p, gx) >= 0:
             # curvature information went stale; fall back to steepest descent
-            p, steepest = -gx, True
+            p, steepest = _steepest(gx), True
         saw_nonfinite = False
-        # a failed search restarts once along -g, unless p already was -g
+        # a failed search restarts once along -g/|g|, unless p already was that
         while (result := _line_search(phi, fx, _dot(gx, p))) is None and not steepest:
             pairs.clear()
-            gamma = 1.0
-            p, steepest = -gx, True
+            p, steepest = _steepest(gx), True
         if result is None:
             if saw_nonfinite:
                 raise NonFiniteObjective("objective non-finite along every probed step",

@@ -571,6 +571,22 @@ class TestEvalKlw:
         assert rc == 2
         assert stderr_payload(capsys)["error"] == "WaveletScaleError"
 
+    @pytest.mark.parametrize("flat", ["ref", "synth"])
+    def test_a_constant_image_exits_2_naming_it(self, tmp_path, capsys, flat):
+        # a constant image has zero-variance subbands: no GGD fits them
+        rng = np.random.default_rng(3)
+        paths = {"ref": tmp_path / "ref.pgm", "synth": tmp_path / "synth.pgm"}
+        for role, path in paths.items():
+            data = np.full((64, 64), 0.5) if role == flat else rng.random((64, 64))
+            write_image(Image(data), path, bits=16)
+        rc = main(["eval-klw", "--ref", str(paths["ref"]), "--synth", str(paths["synth"]),
+                   "--scales", "2", "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "DegenerateSample"
+        assert payload["message"].startswith(f"{paths[flat]}: ")
+        assert not (tmp_path / "m.csv").exists()
+
 
 @pytest.mark.parametrize("command", ["eval-ds", "eval-klw"])
 def test_repeated_method_stems_exit_2_before_any_search(tmp_path, capsys, monkeypatch,
@@ -861,8 +877,9 @@ def test_an_internal_error_exits_1_with_one_json_line(tmp_path, capsys, monkeypa
 
 # every exception class texsynth defines, by the exit code it stands for
 INPUT_ERRORS = {"InputError", "CliError", "RasterFormatError", "TooManyScales",
-                "WeightsFormatError", "WaveletScaleError", "DisconnectedGraph"}
-RUNTIME_ERRORS = {"NonFiniteObjective", "SeparationDivergence", "DegenerateSample"}
+                "WeightsFormatError", "WaveletScaleError", "DisconnectedGraph",
+                "DegenerateSample"}
+RUNTIME_ERRORS = {"NonFiniteObjective", "SeparationDivergence"}
 
 
 def test_every_exception_class_has_a_decided_exit_code():

@@ -118,12 +118,49 @@ class TestTrace:
         assert set(d) == {"values", "termination", "iterations", "n_evals", "grad_norm"}
         assert all(isinstance(v, float) for v in d["values"])
 
+    @pytest.mark.parametrize("scale", [2.0**20, 2.0**-20], ids=["2^20", "2^-20"])
+    def test_iterates_do_not_depend_on_the_objective_scale(self, scale):
+        # H0 = I/|g| makes every step scale-free, and power-of-two factors
+        # leave every rounding unchanged, so the iterates match bit for bit
+        rng = np.random.default_rng(4)
+        A = spd(rng, 30, spread=100.0)
+        b = rng.standard_normal(30)
+        f = quadratic(A, b)
+
+        def scaled(x):
+            value, grad = f(x)
+            return scale * value, scale * grad
+
+        cfg = LbfgsConfig(max_iter=15, grad_tol=0.0)
+        base, other = probed_points(f, np.zeros(30), cfg), probed_points(scaled, np.zeros(30), cfg)
+        assert len(base) == len(other)
+        assert all(np.array_equal(x, y) for x, y in zip(base, other))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e7])
+    def test_first_probe_lies_at_unit_distance(self, scale):
+        x0 = np.array([3.0, -1.0, 2.0])
+        points = probed_points(lambda x: (scale * float(np.sum(x**4)), scale * 4 * x**3),
+                               x0, LbfgsConfig(max_iter=1))
+        assert np.linalg.norm(points[1] - x0) == pytest.approx(1.0, rel=1e-12)
+
     def test_linear_objective_fails_without_repeating_the_search(self):
         # the first direction is already -g, so a steepest-descent restart
         # would make the same 25 probes again
         _, trace = minimize(lambda z: (-z[0], [-1.0]), [0.0])
         assert trace.termination == "line_search_failure"
         assert trace.n_evals == 26
+
+
+def probed_points(fun, x0, cfg):
+    """Every point minimize evaluates fun at, in order."""
+    points = []
+
+    def recording(x):
+        points.append(np.array(x, copy=True))
+        return fun(x)
+
+    minimize(recording, x0, cfg)
+    return points
 
 
 def probe(f, df):

@@ -8,6 +8,8 @@ detection via displacement maps, a wavelet-domain GGD/KL texture
 distance, and paired-comparison strength fitting.
 """
 
+__version__ = "0.1.0"  # before the submodules: every session records it
+
 from .bradley_terry import (
     BTFit,
     DisconnectedGraph,
@@ -69,8 +71,6 @@ from .synth import (
     white_noise,
 )
 from .wavelets import WaveletScaleError, dwt2_daub4, idwt2_daub4
-
-__version__ = "0.1.0"
 
 # The benchmark harness records this flag; the kernels are plain numpy.
 HAS_NUMBA = False

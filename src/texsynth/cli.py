@@ -6,10 +6,11 @@ is missing, a directory, or not valid JSON or text. Every other exception
 exits 1. Either way stderr gets one JSON object {"error", "message"}. The
 synth options are the fields of RunConfig: each is a flag and a key of the
 JSON config file (strict schema; the key has `_` where the flag has `-`). A
---config file or a --replay session presets them; explicit flags win. In
-every command, an output that is the same file as an input (--config and
+--config file presets them, and flags win. A --replay session sets them all,
+takes only the REPLAY_FLAGS paths, and writes the recorded bytes or exits 1.
+In every command, an output that is the same file as an input (--config and
 --replay included) or as another output exits 2 before anything is written.
---jobs fans out over independent images only, capped by TEXSYNTH_THREADS.
+--jobs fans out over independent images only.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import hashlib
 import json
 import math
 import os
@@ -35,6 +37,10 @@ from .imagecore import InputError, read_image, write_image
 
 class CliError(InputError):
     """Invalid flags, config, or input files; exits 2."""
+
+
+class ReplayMismatch(Exception):
+    """A replay wrote other bytes than its session recorded; exits 1."""
 
 
 def _option(default, help=None):
@@ -120,17 +126,6 @@ def _emit_error(exc) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
-def _thread_cap() -> int | None:
-    raw = os.environ.get("TEXSYNTH_THREADS")
-    if not raw:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        return None
-    return max(1, cap)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="texsynth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -183,19 +178,27 @@ def build_parser() -> _Parser:
     return parser
 
 
+REPLAY_FLAGS = ("exemplar", "net_weights", "out", "session", "curve")
+
+
 def _config_from_args(args) -> tuple[RunConfig, synth.SynthSession | None]:
     """The merged run config, plus the recorded session when replaying.
 
-    Flags win over the values of the session or the config file.
+    Flags win over the config file. A replay takes every other option from
+    its session, since REPLAY_FLAGS only say where its files are.
     """
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name) is not None}
     values, recorded = {}, None
     if args.replay:
+        others = sorted(set(flags) - set(REPLAY_FLAGS)) + (["config"] if args.config else [])
+        if others:
+            raise CliError(f"--replay takes only the path options {list(REPLAY_FLAGS)}, "
+                           f"not {others}")
         values, recorded = _config_from_session(args.replay)
     elif args.config:
         with open(args.config) as fh:
             values = parse_run_config(json.load(fh), args.config)
-    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-             if getattr(args, f.name) is not None}
     return RunConfig(**{**values, **flags}), recorded
 
 
@@ -214,7 +217,9 @@ def _config_from_session(path) -> tuple[dict, synth.SynthSession]:
                   "seed": session.seed, "layer_weight": session.layer_weight,
                   "iterations": lbfgs["max_iter"], "history": lbfgs["history"],
                   "grad_tol": lbfgs["grad_tol"], "exemplar": session.exemplar["path"],
-                  "bits": session.output.get("bits", 16)}  # older sessions lack bits
+                  "bits": session.output["bits"]}
+        if (type(session.output["sha256"]), type(session.environment)) != (str, dict):
+            raise TypeError("output.sha256 must be a string, environment an object")
         if session.net is not None:
             values["pool"] = session.net["pool"]
             prov = session.net["provenance"]
@@ -229,18 +234,6 @@ def _config_from_session(path) -> tuple[dict, synth.SynthSession]:
     except (TypeError, AttributeError) as exc:
         raise CliError(f"{path}: not a session file ({exc})") from None
     return parse_run_config(values, str(path)), session
-
-
-def _absolute_provenance(prov: str) -> str:
-    """A weights-file provenance with its path resolved against the cwd.
-
-    New sessions record absolute paths, so replay works from any directory;
-    a relative path in an older session still resolves as it did then.
-    """
-    match = _FILE_PROVENANCE.fullmatch(prov)
-    if match is None:
-        return prov
-    return f"file({os.path.abspath(match.group(1))}{prov[match.end(1):]}"
 
 
 def cmd_synth(args) -> int:
@@ -262,12 +255,9 @@ def cmd_synth(args) -> int:
         if cfg.net_weights:
             weights = netmod.load_weights(os.path.abspath(cfg.net_weights))
             if recorded is not None and (
-                recorded.net is None
-                or weights.provenance != _absolute_provenance(recorded.net["provenance"])
+                recorded.net is None or weights.provenance != recorded.net["provenance"]
             ):
-                raise CliError(
-                    f"weights {weights.provenance} do not match the session's network"
-                )
+                raise CliError(f"weights {weights.provenance} do not match the session's network")
             network = netmod.Network(weights.specs, weights, pool=cfg.pool)
             if network.in_channels != exemplar.c:
                 raise CliError(
@@ -284,7 +274,8 @@ def cmd_synth(args) -> int:
         layer_weight=cfg.layer_weight, exemplar_path=os.path.abspath(cfg.exemplar),
     )
     write_image(result, cfg.out, bits=cfg.bits)
-    session.output = {"path": str(cfg.out), "bits": cfg.bits}
+    digest = hashlib.sha256(Path(cfg.out).read_bytes()).hexdigest()
+    session.output = {"path": str(cfg.out), "bits": cfg.bits, "sha256": digest}
     with open(session_path, "w") as fh:
         fh.write(session.to_json())
         fh.write("\n")
@@ -295,6 +286,13 @@ def cmd_synth(args) -> int:
             for record in session.scales:
                 for i, value in enumerate(record["trace"]["values"]):
                     writer.writerow([record["k"], i, repr(value)])
+    if recorded is not None and digest != recorded.output["sha256"]:
+        old, new = recorded.environment, session.environment
+        differ = [f"{key} {old.get(key)} -> {new.get(key)}" for key in sorted(old | new)
+                  if old.get(key) != new.get(key)]
+        raise ReplayMismatch(f"{cfg.out} has sha256 {digest}, not the recorded "
+                             f"{recorded.output['sha256']}; environment fields that "
+                             f"differ: {', '.join(differ) or 'none'}")
     final = session.scales[-1]["trace"]["values"][-1]
     print(f"final loss {final:.6g}; wrote {cfg.out} and {session_path}")
     return 0
@@ -331,9 +329,6 @@ def _metric_rows(out_path, rows) -> None:
 
 
 def _pmap(fn, items, jobs: int):
-    cap = _thread_cap()
-    if cap is not None:
-        jobs = min(jobs, cap)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:

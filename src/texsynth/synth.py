@@ -19,8 +19,9 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy
 
-from . import losses, net as netmod, optim
+from . import __version__, losses, net as netmod, optim
 from .imagecore import Image, InputError, build_pyramid, serialize_pnm, upsample_bilinear
 
 DEFAULT_K = 2
@@ -90,7 +91,8 @@ def exemplar_hash(exemplar: Image) -> str:
 class SynthSession:
     """Everything needed to replay a run and audit its loss curves.
 
-    The fields are the session JSON's top-level keys.
+    The fields are the session JSON's top-level keys. `texsynth synth` sets
+    `output.sha256` to the image file's digest, which a replay must match.
     """
 
     exemplar: dict  # {"path", "sha256"}
@@ -102,7 +104,8 @@ class SynthSession:
     layer_weight: float
     lbfgs: dict
     scales: list[dict]
-    output: dict  # {"path", "bits"}
+    output: dict  # {"path", "bits", "sha256"}
+    environment: dict  # {"numpy", "scipy", "texsynth"}: no run- or thread-dependent value
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -191,6 +194,8 @@ def synth_multiscale(exemplar: Image, variant: MethodVariant,
         lbfgs=asdict(lbfgs),
         scales=[],
         output={"path": None, "bits": 16},
+        environment={"numpy": np.__version__, "scipy": scipy.__version__,
+                     "texsynth": __version__},
     )
     current = None
     for k in range(K, -1, -1):

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, files written, JSON errors."""
 
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -38,6 +39,14 @@ def save_rgb(path, n=16, phase=0.0):
     return str(path)
 
 
+def forbid_reads(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "read_image", fail)
+    monkeypatch.setattr(cli.netmod, "load_weights", fail)
+
+
 def forbid_synthesis(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("synthesis ran")
@@ -57,7 +66,7 @@ def write_session(path, net=None):
     session = synth.SynthSession(
         exemplar={"path": "ex.ppm", "sha256": ""}, variant="gram", beta=1.0, K=0, seed=0,
         net=net, layer_weight=1.0, lbfgs={"max_iter": 3, "history": 10, "grad_tol": 0.0},
-        scales=[], output={"path": "x.ppm", "bits": 16})
+        scales=[], output={"path": "x.ppm", "bits": 16, "sha256": ""}, environment={})
     Path(path).write_text(session.to_json())
     return str(path)
 
@@ -188,8 +197,8 @@ class TestSynth:
 
     @pytest.mark.parametrize("age", ["output-without-bits", "relative-paths",
                                      "line-search-settings"])
-    def test_replay_of_an_older_session_writes_the_same_bytes(self, tmp_path, monkeypatch,
-                                                              age):
+    def test_replay_of_an_older_session_exits_2_before_any_read(self, tmp_path, capsys,
+                                                                monkeypatch, age):
         monkeypatch.chdir(tmp_path)
         save_rgb("ex.ppm")
         save_weights(random_weights(vgg_mini(3), seed=5), "weights.bin")
@@ -197,6 +206,8 @@ class TestSynth:
                    "--iterations", "3", "--net-weights", "weights.bin"])
         assert rc == 0
         session = json.loads(Path("out.session.json").read_text())
+        # no session written before the replay check records these two
+        del session["environment"], session["output"]["sha256"]
         if age == "output-without-bits":  # sessions from before bits was recorded
             del session["output"]["bits"]
         elif age == "line-search-settings":  # sessions from before these were constants
@@ -208,8 +219,81 @@ class TestSynth:
                                                           "weights.bin")
             assert net["provenance"].startswith("file(weights.bin, crc32=")
         Path("out.session.json").write_text(json.dumps(session))
-        assert main(["synth", "--replay", "out.session.json", "--out", "again.ppm"]) == 0
-        assert Path("again.ppm").read_bytes() == Path("out.ppm").read_bytes()
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        forbid_reads(monkeypatch)
+        assert main(["synth", "--replay", "out.session.json", "--out", "again.ppm"]) == 2
+        assert "not a session file" in stderr_payload(capsys)["message"]
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("part, key", [(None, "environment"), ("output", "sha256"),
+                                           ("output", "bits")],
+                             ids=["environment", "output.sha256", "output.bits"])
+    def test_replay_of_a_session_without_a_replay_record_exits_2_before_any_read(
+            self, tmp_path, capsys, monkeypatch, part, key):
+        assert self.run_tiny(tmp_path)[0] == 0
+        session_path = tmp_path / "out.session.json"
+        session = json.loads(session_path.read_text())
+        del (session[part] if part else session)[key]
+        session_path.write_text(json.dumps(session))
+        capsys.readouterr()
+        forbid_reads(monkeypatch)
+        assert self.replay(tmp_path) == 2
+        message = stderr_payload(capsys)["message"]
+        assert message.startswith(f"{session_path}: not a session file (")
+        assert repr(key) in message
+
+    @pytest.mark.parametrize("extra", [["--iterations", "5"], ["--bits", "8"],
+                                       ["--seed", "0"], ["--config", "cfg.json"]],
+                             ids=["iterations", "bits", "seed", "config"])
+    def test_replay_with_a_non_path_flag_exits_2_before_any_read(self, tmp_path, capsys,
+                                                                monkeypatch, extra):
+        assert self.run_tiny(tmp_path)[0] == 0
+        (tmp_path / "cfg.json").write_text("{}")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        forbid_reads(monkeypatch)
+
+        def fail(path):
+            raise AssertionError("the session was read")
+
+        monkeypatch.setattr(cli, "_config_from_session", fail)
+        assert main(["synth", "--replay", "out.session.json", "--out", "again.ppm"]
+                    + extra) == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "CliError"
+        assert payload["message"].startswith("--replay takes only the path options ")
+        assert payload["message"].endswith(f"not [{extra[0][2:]!r}]")
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("edit", ["digest", "digest-and-numpy", "max-iter"])
+    def test_replay_that_writes_other_bytes_exits_1(self, tmp_path, capsys, edit):
+        rc, _, out = self.run_tiny(tmp_path)
+        assert rc == 0
+        session_path = tmp_path / "out.session.json"
+        session = json.loads(session_path.read_text())
+        assert session["output"]["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+        if edit == "max-iter":
+            session["lbfgs"]["max_iter"] = 2
+        else:
+            session["output"]["sha256"] = "0" * 64
+        if edit == "digest-and-numpy":
+            session["environment"]["numpy"] = "0.1"
+        session_path.write_text(json.dumps(session))
+        capsys.readouterr()
+        assert self.replay(tmp_path) == 1
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "ReplayMismatch"
+        again = (tmp_path / "again.ppm").read_bytes()
+        assert (again == out.read_bytes()) == (edit != "max-iter")
+        written, recorded = hashlib.sha256(again).hexdigest(), session["output"]["sha256"]
+        differ = f"numpy 0.1 -> {np.__version__}" if edit == "digest-and-numpy" else "none"
+        assert payload["message"] == (
+            f"{tmp_path / 'again.ppm'} has sha256 {written}, not the recorded {recorded}; "
+            f"environment fields that differ: {differ}")
+        again_session = json.loads((tmp_path / "again.session.json").read_text())
+        assert again_session["output"]["sha256"] == written
 
     @pytest.mark.parametrize("extra", [
         ["--variant", "gram+spectrum+msinit", "--K", "1", "--iterations", "60"],
@@ -247,8 +331,11 @@ class TestSynth:
         lambda s: {**s, "exemplar": s["exemplar"]["path"]},
         lambda s: {**s, "variant": None},
         lambda s: {**s, "seed": 0.5},
+        lambda s: {**s, "environment": list(s["environment"])},
+        lambda s: {**s, "output": {**s["output"], "sha256": None}},
     ], ids=["empty-lbfgs", "net-without-provenance", "top-level-list",
-            "exemplar-as-string", "null-variant", "float-seed"])
+            "exemplar-as-string", "null-variant", "float-seed", "environment-as-list",
+            "null-output-sha256"])
     def test_replay_of_a_malformed_session_exits_2(self, tmp_path, capsys, monkeypatch,
                                                    malform):
         rc, _, _ = self.run_tiny(tmp_path)
@@ -432,13 +519,8 @@ class TestSynth:
         session = Path(write_session(tmp_path / "r.session.json"))
         before = {path: path.read_bytes() for path in (Path(ex), weights, config, session)}
         monkeypatch.chdir(tmp_path)
-
-        def fail(path):
-            raise AssertionError("an input was read")
-
-        monkeypatch.setattr(cli, "read_image", fail)
-        monkeypatch.setattr(cli.netmod, "load_weights", fail)
-        argv = ["synth", "--exemplar", "ex.ppm", "--net-weights", "w.bin", "--variant", "gram"]
+        forbid_reads(monkeypatch)
+        argv = ["synth", "--exemplar", "ex.ppm", "--net-weights", "w.bin"]
         for flag, path in paths.items():
             argv += [f"--{flag}", path]
         assert main(argv) == 2
@@ -879,7 +961,7 @@ def test_an_internal_error_exits_1_with_one_json_line(tmp_path, capsys, monkeypa
 INPUT_ERRORS = {"InputError", "CliError", "RasterFormatError", "TooManyScales",
                 "WeightsFormatError", "WaveletScaleError", "DisconnectedGraph",
                 "DegenerateSample"}
-RUNTIME_ERRORS = {"NonFiniteObjective", "SeparationDivergence"}
+RUNTIME_ERRORS = {"NonFiniteObjective", "SeparationDivergence", "ReplayMismatch"}
 
 
 def test_every_exception_class_has_a_decided_exit_code():

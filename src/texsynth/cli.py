@@ -68,7 +68,6 @@ class RunConfig:
     history: int = _option(10, "curvature pairs kept")
     grad_tol: float = _option(1e-8)
     layer_weight: float = _option(losses.DEFAULT_LAYER_WEIGHT)
-    arch: str = _option("vgg-mini", "network architecture name")
     net_seed: int = _option(0, "random weights seed")
     net_weights: str | None = _option(None, "weights file to load")
     pool: str = _option("avg")
@@ -202,8 +201,14 @@ def _config_from_args(args) -> tuple[RunConfig, synth.SynthSession | None]:
     return RunConfig(**{**values, **flags}), recorded
 
 
-_FILE_PROVENANCE = re.compile(r"file\((.*), crc32=[0-9a-f]{8}\)", re.DOTALL)
+_FILE_PROVENANCE = re.compile(r"file\((.*), crc32=([0-9a-f]{8})\)", re.DOTALL)
 _RANDOM_PROVENANCE = re.compile(r"random\(seed=([0-9]+)\)")
+
+
+def _weights_crc32(provenance: str) -> str | None:
+    """The checksum in a weights file's provenance; None for random weights."""
+    match = _FILE_PROVENANCE.fullmatch(provenance)
+    return match and match.group(2)
 
 
 def _config_from_session(path) -> tuple[dict, synth.SynthSession]:
@@ -254,9 +259,9 @@ def cmd_synth(args) -> int:
     if set(variant.terms) & set(losses.FEATURE_TERMS):
         if cfg.net_weights:
             weights = netmod.load_weights(os.path.abspath(cfg.net_weights))
-            if recorded is not None and (
-                recorded.net is None or weights.provenance != recorded.net["provenance"]
-            ):
+            # by content, as the exemplar is: a copy at another path replays
+            if recorded is not None and (recorded.net is None or _weights_crc32(
+                    weights.provenance) != _weights_crc32(recorded.net["provenance"])):
                 raise CliError(f"weights {weights.provenance} do not match the session's network")
             network = netmod.Network(weights.specs, weights, pool=cfg.pool)
             if network.in_channels != exemplar.c:
@@ -265,8 +270,8 @@ def cmd_synth(args) -> int:
                     f"exemplar has {exemplar.c}"
                 )
         else:
-            network = netmod.make_network(cfg.arch, in_channels=exemplar.c,
-                                          seed=cfg.net_seed, pool=cfg.pool)
+            network = netmod.make_network(in_channels=exemplar.c, seed=cfg.net_seed,
+                                          pool=cfg.pool)
     lbfgs = optim.LbfgsConfig(max_iter=cfg.iterations, history=cfg.history,
                               grad_tol=cfg.grad_tol)
     result, session = synth.synth_multiscale(

@@ -10,10 +10,9 @@ between fitted GGDs, summed over subbands.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp, lgamma
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln
 
 from . import wavelets
 from .imagecore import InputError, as_array
@@ -42,9 +41,7 @@ class GGDParams:
 
 def _moment_ratio(beta: float) -> float:
     """(E|x|)^2 / E x^2 for a GGD of shape beta."""
-    return np.exp(
-        2.0 * gammaln(2.0 / beta) - gammaln(1.0 / beta) - gammaln(3.0 / beta)
-    )
+    return exp(2.0 * lgamma(2.0 / beta) - lgamma(1.0 / beta) - lgamma(3.0 / beta))
 
 
 def fit_ggd(samples) -> GGDParams:
@@ -63,17 +60,17 @@ def fit_ggd(samples) -> GGDParams:
         raise DegenerateSample("all samples equal; GGD fit undefined")
     m1 = np.mean(np.abs(x))
     m2 = np.mean(x**2)
-    ratio = m1**2 / m2
+    ratio = float(m1**2 / m2)
     clamped = False
     if ratio <= _moment_ratio(SHAPE_MIN):
         beta, clamped = SHAPE_MIN, True
     elif ratio >= _moment_ratio(SHAPE_MAX):
         beta, clamped = SHAPE_MAX, True
-    else:
-        beta = brentq(
-            lambda b: _moment_ratio(b) - ratio, SHAPE_MIN, SHAPE_MAX, xtol=1e-13
-        )
-    alpha = np.sqrt(m2 * np.exp(gammaln(1.0 / beta) - gammaln(3.0 / beta)))
+    else:  # the ratio rises with the shape: bisect until no float lies between
+        lo, hi = SHAPE_MIN, SHAPE_MAX
+        while lo < (beta := 0.5 * (lo + hi)) < hi:
+            lo, hi = (beta, hi) if _moment_ratio(beta) < ratio else (lo, beta)
+    alpha = np.sqrt(m2 * np.exp(lgamma(1.0 / beta) - lgamma(3.0 / beta)))
     return GGDParams(float(alpha), float(beta), clamped)
 
 
@@ -90,10 +87,10 @@ def kl_ggd(p: GGDParams, q: GGDParams) -> float:
     log_term = (
         np.log(bp / bq)
         + np.log(aq / ap)
-        + gammaln(1.0 / bq)
-        - gammaln(1.0 / bp)
+        + lgamma(1.0 / bq)
+        - lgamma(1.0 / bp)
     )
-    power_term = (ap / aq) ** bq * np.exp(gammaln((bq + 1.0) / bp) - gammaln(1.0 / bp))
+    power_term = (ap / aq) ** bq * np.exp(lgamma((bq + 1.0) / bp) - lgamma(1.0 / bp))
     return float(log_term + power_term - 1.0 / bp)
 
 

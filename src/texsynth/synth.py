@@ -19,7 +19,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__, losses, net as netmod, optim
 from .imagecore import Image, InputError, build_pyramid, serialize_pnm, upsample_bilinear
@@ -105,7 +104,7 @@ class SynthSession:
     lbfgs: dict
     scales: list[dict]
     output: dict  # {"path", "bits", "sha256"}
-    environment: dict  # {"numpy", "scipy", "texsynth"}: no run- or thread-dependent value
+    environment: dict  # {"numpy", "texsynth"}: no run- or thread-dependent value
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -194,8 +193,7 @@ def synth_multiscale(exemplar: Image, variant: MethodVariant,
         lbfgs=asdict(lbfgs),
         scales=[],
         output={"path": None, "bits": 16},
-        environment={"numpy": np.__version__, "scipy": scipy.__version__,
-                     "texsynth": __version__},
+        environment={"numpy": np.__version__, "texsynth": __version__},
     )
     current = None
     for k in range(K, -1, -1):

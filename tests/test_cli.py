@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pkgutil
+import shutil
 import struct
 import subprocess
 import sys
@@ -152,6 +153,30 @@ class TestSynth:
         forbid_synthesis(monkeypatch)
         assert self.replay(tmp_path) == 2
         assert "do not match the session" in stderr_payload(capsys)["message"]
+
+    @pytest.mark.parametrize("copy", [True, False], ids=["copy", "other-crc32"])
+    def test_replay_compares_weights_by_crc32_not_path(self, tmp_path, capsys, monkeypatch,
+                                                       copy):
+        weights = tmp_path / "w.bin"
+        save_weights(random_weights(vgg_mini(3), seed=5), weights)
+        rc, _, out = self.run_tiny(tmp_path, extra=["--net-weights", str(weights)])
+        assert rc == 0
+        elsewhere = tmp_path / "w2.bin"
+        if copy:
+            shutil.copyfile(weights, elsewhere)
+        else:
+            save_weights(random_weights(vgg_mini(3), seed=6), elsewhere)
+            assert elsewhere.read_bytes()[-4:] != weights.read_bytes()[-4:]  # the crc32
+            forbid_synthesis(monkeypatch)
+        capsys.readouterr()
+        rc = main(["synth", "--replay", str(tmp_path / "out.session.json"),
+                   "--out", str(tmp_path / "again.ppm"), "--net-weights", str(elsewhere)])
+        if copy:
+            assert rc == 0
+            assert (tmp_path / "again.ppm").read_bytes() == out.read_bytes()
+        else:
+            assert rc == 2
+            assert "do not match the session" in stderr_payload(capsys)["message"]
 
     @pytest.mark.parametrize("layers, message", [
         ([], "at least one layer"),
@@ -653,6 +678,21 @@ class TestEvalKlw:
         assert rc == 2
         assert stderr_payload(capsys)["error"] == "WaveletScaleError"
 
+    def test_no_scipy_module_loads(self, tmp_path):
+        # numpy is the only runtime dependency; a fresh interpreter shows what loads
+        rng = np.random.default_rng(4)
+        for name in ("ref", "s"):
+            write_image(Image(rng.random((64, 64))), tmp_path / f"{name}.pgm", bits=16)
+        argv = ["eval-klw", "--ref", str(tmp_path / "ref.pgm"), "--synth",
+                str(tmp_path / "s.pgm"), "--scales", "2", "--out", str(tmp_path / "m.csv")]
+        code = ("import sys, texsynth.cli\n"
+                f"assert texsynth.cli.main({argv!r}) == 0\n"
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", code], env=blas_env("1"), check=True,
+                                timeout=120, capture_output=True, text=True)
+        assert result.stdout == "[]\n"
+        assert (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize("flat", ["ref", "synth"])
     def test_a_constant_image_exits_2_naming_it(self, tmp_path, capsys, flat):
         # a constant image has zero-variance subbands: no GGD fits them
@@ -908,7 +948,7 @@ def bad_input_argv(tmp_path, case):
         return ["eval-klw", "--ref", ex, "--synth", other, "--scales", "0"]
     if case in ("msinit", "gram+gram"):
         return synth_args + ["--variant", case]
-    if case == "unknown-arch":
+    if case == "unknown-arch":  # one architecture, so no --arch option to pass it
         return synth_args + ["--arch", "vgg-max", "--variant", "gram"]
     if case == "negative-net-seed":
         return synth_args + ["--net-seed", "-1", "--variant", "gram"]

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from texsynth.ggd import (
     DegenerateSample,
     GGDParams,
     LOG_ZERO_SENTINEL,
+    SHAPE_MAX,
+    SHAPE_MIN,
     fit_ggd,
     kl_ggd,
     log_score,
@@ -41,6 +44,10 @@ def kl_quadrature(p, q):
     return 2.0 * value
 
 
+def moment_ratio(beta):
+    return np.exp(2.0 * gammaln(2.0 / beta) - gammaln(1.0 / beta) - gammaln(3.0 / beta))
+
+
 class TestFit:
     def test_gaussian_sample_recovers_shape_two(self):
         rng = np.random.default_rng(0)
@@ -59,6 +66,27 @@ class TestFit:
         rng = np.random.default_rng(2)
         fit = fit_ggd(rng.uniform(-1.0, 1.0, 100_000))
         assert fit.beta == 20.0
+        assert fit.clamped
+
+    @pytest.mark.parametrize("shape", np.geomspace(0.1, 15.0, 25))
+    def test_shape_is_the_root_scipy_finds(self, shape):
+        # a 0/1 sample's moment ratio (E|x|)^2 / E x^2 is its share of ones
+        n = 100_000
+        ones = round(moment_ratio(shape) * n)
+        x = np.repeat([1.0, 0.0], [ones, n - ones])
+        ratio = np.mean(np.abs(x)) ** 2 / np.mean(x**2)
+        root = brentq(lambda b: moment_ratio(b) - ratio, SHAPE_MIN, SHAPE_MAX, xtol=1e-300)
+        fit = fit_ggd(x)
+        assert not fit.clamped
+        assert abs(fit.beta - root) <= 1e-12 * root
+
+    @pytest.mark.parametrize("x, beta", [
+        (np.eye(1, 100_000).ravel(), SHAPE_MIN),  # ratio 1e-5 < moment_ratio(SHAPE_MIN)
+        (np.resize([1.0, -1.0], 1000), SHAPE_MAX),  # ratio 1 > moment_ratio(SHAPE_MAX)
+    ], ids=["SHAPE_MIN", "SHAPE_MAX"])
+    def test_a_ratio_beyond_a_bracket_end_clamps_to_it(self, x, beta):
+        fit = fit_ggd(x)
+        assert fit.beta == beta
         assert fit.clamped
 
     def test_small_sample_rejected(self):

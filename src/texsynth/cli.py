@@ -1,24 +1,27 @@
 """Command line interface.
 
 Subcommands: synth, eval-ds, eval-klw, bt-fit, project-spectrum, selftest.
-Exit 2 is bad input: an InputError (CliError is one), or a user file that
-is missing, a directory, or not valid JSON or text. Every other exception
-exits 1. Either way stderr gets one JSON object {"error", "message"}. The
-synth options are the fields of RunConfig: each is a flag and a key of the
-JSON config file (strict schema; the key has `_` where the flag has `-`). A
+Exit 2 is bad input: an InputError (CliError is one), or a user path that
+is missing, a directory, under a regular file, or not valid JSON or text,
+or a --disp-dir that is a regular file. Every other exception exits 1.
+Either way stderr gets one JSON object {"error", "message"}. The synth
+options are the fields of RunConfig: each is a flag and a key of the JSON
+config file (strict schema; the key has `_` where the flag has `-`). A
 --config file presets them, and flags win. A --replay session sets them all,
 takes only the REPLAY_FLAGS paths, and writes the recorded bytes or exits 1.
 In every command, an output that is the same file as an input (--config and
 --replay included) or as another output exits 2 before anything is written.
---jobs fans out over independent images only.
+`-` means stdout only as the --out of eval-ds, eval-klw and bt-fit; every
+other path `-` is a file. The eval commands score one image at a time, and
+BLAS threads (OPENBLAS_NUM_THREADS) are their only parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -144,7 +147,6 @@ def build_parser() -> _Parser:
     p.add_argument("--image-id", dest="image_id", help="id column value (default: exemplar stem)")
     p.add_argument("--out", default="-", help="metrics CSV path, - for stdout")
     p.add_argument("--disp-dir", dest="disp_dir", help="also write colored maps here")
-    p.add_argument("--jobs", type=int, default=1, help="parallelism across images")
     p.set_defaults(func=cmd_eval_ds)
 
     p = sub.add_parser("eval-klw", help="wavelet-domain KL texture distances")
@@ -152,8 +154,7 @@ def build_parser() -> _Parser:
     p.add_argument("--synth", required=True, nargs="+")
     p.add_argument("--scales", type=int, default=8)
     p.add_argument("--image-id", dest="image_id")
-    p.add_argument("--out", default="-")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--out", default="-", help="metrics CSV path, - for stdout")
     p.set_defaults(func=cmd_eval_klw)
 
     p = sub.add_parser("bt-fit", help="fit strengths to duel outcomes")
@@ -307,7 +308,7 @@ def _refuse_overwrite(inputs, outputs) -> None:
     """Reject an output (flag, path) that is an input's or another output's file."""
     claimed = {os.path.realpath(path): flag for flag, path in inputs if path}
     for flag, path in outputs:
-        if path and path != "-":
+        if path:
             real = os.path.realpath(path)
             if real in claimed:
                 raise CliError(f"{flag} {path} is the same file as {claimed[real]}, "
@@ -315,29 +316,24 @@ def _refuse_overwrite(inputs, outputs) -> None:
             claimed[real] = flag
 
 
-def _open_out(path):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+def _text_file(path):
+    """The file a text --out names: None for `-`, which _write_text sends to stdout."""
+    return None if path == "-" else path
+
+
+def _write_text(path, text: str) -> None:
+    """Write text to stdout for `-`, else to the file, newlines untranslated."""
+    if _text_file(path) is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
 
 
 def _metric_rows(out_path, rows) -> None:
-    fh, close = _open_out(out_path)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["image_id", "method", "metric", "value"])
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if close:
-            fh.close()
-
-
-def _pmap(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    buf = io.StringIO()
+    csv.writer(buf).writerows([["image_id", "method", "metric", "value"], *rows])
+    _write_text(out_path, buf.getvalue())
 
 
 def _method_names(paths) -> list[str]:
@@ -354,16 +350,14 @@ def cmd_eval_ds(args) -> int:
     methods = _method_names(args.synth)
     maps = [os.path.join(args.disp_dir, f"{m}.disp.ppm") for m in methods] if args.disp_dir else []
     _refuse_overwrite([("--exemplar", args.exemplar)] + [("--synth", p) for p in args.synth],
-                      [("--out", args.out)] + [("--disp-dir", path) for path in maps])
+                      [("--out", _text_file(args.out))] + [("--disp-dir", path) for path in maps])
     exemplar = read_image(args.exemplar)
     image_id = args.image_id or Path(args.exemplar).stem
 
-    def one(path):
-        img = read_image(path)
-        disp = displacement.displacement_map(img, exemplar, patch=args.patch)
-        return disp, displacement.ds_score(disp)
-
-    results = _pmap(one, list(args.synth), args.jobs)
+    results = []
+    for path in args.synth:  # every image scored before any write
+        disp = displacement.displacement_map(read_image(path), exemplar, patch=args.patch)
+        results.append((disp, displacement.ds_score(disp)))
     if maps:
         os.makedirs(args.disp_dir, exist_ok=True)
     for path, (disp, _) in zip(maps, results):
@@ -376,19 +370,14 @@ def cmd_eval_ds(args) -> int:
 def cmd_eval_klw(args) -> int:
     methods = _method_names(args.synth)
     _refuse_overwrite([("--ref", args.ref)] + [("--synth", p) for p in args.synth],
-                      [("--out", args.out)])
+                      [("--out", _text_file(args.out))])
     ref = read_image(args.ref)
     image_id = args.image_id or Path(args.ref).stem
 
-    def one(path):
-        img = read_image(path)
-        _, aggregate = ggd.texture_distance_klw(img, ref, scales=args.scales,
-                                                names=(path, args.ref))
-        return aggregate
-
-    results = _pmap(one, list(args.synth), args.jobs)
     rows = []
-    for method, aggregate in zip(methods, results):
+    for method, path in zip(methods, args.synth):  # every image scored before any write
+        _, aggregate = ggd.texture_distance_klw(read_image(path), ref, scales=args.scales,
+                                                names=(path, args.ref))
         rows.append([image_id, method, "klw", repr(ggd.log_score(aggregate))])
         rows.append([image_id, method, "klw_sum", repr(aggregate)])
     _metric_rows(args.out, rows)
@@ -423,7 +412,7 @@ def _load_classes(path) -> dict[str, str]:
 
 def cmd_bt_fit(args) -> int:
     _refuse_overwrite([("--duels", args.duels), ("--classes", args.classes)],
-                      [("--out", args.out)])
+                      [("--out", _text_file(args.out))])
     filters = _parse_filters(args.filter)
     image_ids = None
     if "image-class" in filters:
@@ -445,13 +434,7 @@ def cmd_bt_fit(args) -> int:
         "winning_prob": [float(v) for v in W],
         "winning_prob_se": [float(v) for v in Sigma],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out == "-":
-        print(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -478,8 +461,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     # reading a user file raises these builtins; they are bad input too
-    except (InputError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit_error(exc)
         return 2
     except Exception as exc:  # a runtime failure or a bug

@@ -83,9 +83,6 @@ def vgg_mini(in_channels: int = 3) -> tuple[LayerSpec, ...]:
     )
 
 
-ARCHITECTURES = {"vgg-mini": vgg_mini}
-
-
 def _validate_chain(specs) -> None:
     if not specs:
         raise InputError("a network needs at least one layer")
@@ -226,9 +223,9 @@ class Network:
 
 def make_network(arch: str = "vgg-mini", in_channels: int = 3, seed: int = 0,
                  pool: str = "avg") -> Network:
-    if arch not in ARCHITECTURES:
+    if arch != "vgg-mini":
         raise InputError(f"unknown architecture {arch!r}")
-    specs = ARCHITECTURES[arch](in_channels)
+    specs = vgg_mini(in_channels)
     return Network(specs, random_weights(specs, seed), pool=pool)
 
 

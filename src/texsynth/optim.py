@@ -103,14 +103,9 @@ def _is_good(value, grad) -> bool:
 
 
 def _cubic_step(alo, flo, dlo, ahi, fhi, dhi):
-    """Minimizer of the cubic Hermite fit; None when degenerate."""
+    """Minimizer of the cubic Hermite fit; None when degenerate or when fhi
+    or dhi is not finite, so that the zoom bisects."""
     if not (np.isfinite(fhi) and np.isfinite(dhi)):
-        # one-sided data: quadratic through (alo, flo, dlo) and fhi if finite
-        if np.isfinite(fhi):
-            denom = 2.0 * (fhi - flo - dlo * (ahi - alo))
-            if denom != 0:
-                a = alo - dlo * (ahi - alo) ** 2 / denom
-                return a if np.isfinite(a) else None
         return None
     d1 = dlo + dhi - 3.0 * (flo - fhi) / (alo - ahi)
     disc = d1 * d1 - dlo * dhi

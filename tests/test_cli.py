@@ -529,10 +529,11 @@ class TestSynth:
         ({"replay": "r.session.json", "out": "r.ppm"}, "--session"),
         ({"replay": "r.session.json", "out": "a.ppm", "session": "r.session.json"},
          "--session"),
+        ({"out": "-", "curve": "-"}, "--curve"),  # `-` is a file here, not stdout
     ], ids=["session-is-out", "curve-is-out", "curve-is-session", "out-is-exemplar",
             "out-links-to-exemplar", "curve-is-exemplar", "session-is-weights",
             "out-is-config", "session-is-config", "curve-is-config",
-            "default-session-is-replayed", "session-is-replayed"])
+            "default-session-is-replayed", "session-is-replayed", "curve-and-out-are-dash"])
     def test_an_output_that_is_an_input_or_another_output_exits_2_before_any_read(
             self, tmp_path, capsys, monkeypatch, paths, clash):
         ex = save_rgb(tmp_path / "ex.ppm")
@@ -572,6 +573,20 @@ class TestSynth:
         assert message == ("the network has none of the default statistics layers "
                            "['conv1_1', 'pool1', 'pool2', 'pool3']")
 
+    def test_weights_for_another_channel_count_exit_2_before_synthesis(
+            self, tmp_path, capsys, monkeypatch):
+        weights = tmp_path / "w.bin"
+        save_weights(random_weights(vgg_mini(1), seed=1), weights)
+        forbid_synthesis(monkeypatch)
+        rc = main(["synth", "--exemplar", save_rgb(tmp_path / "ex.ppm"),
+                   "--out", str(tmp_path / "x.ppm"), "--net-weights", str(weights),
+                   "--variant", "gram"])
+        assert rc == 2
+        payload = stderr_payload(capsys)
+        assert payload == {"error": "CliError",
+                           "message": "weights expect 1-channel input, exemplar has 3"}
+        assert not (tmp_path / "x.ppm").exists()
+
     def test_no_subcommand_exits_2(self, capsys):
         rc = main([])
         assert rc == 2
@@ -601,7 +616,7 @@ class TestEvalDs:
         rc = main([
             "eval-ds", "--exemplar", ex, "--synth", a, b,
             "--out", str(out), "--disp-dir", str(tmp_path / "maps"),
-            "--image-id", "tex7", "--jobs", "2",
+            "--image-id", "tex7",
         ])
         assert rc == 0
         rows = read_csv(out.read_text())
@@ -796,6 +811,36 @@ def test_a_displacement_map_that_is_an_input_exits_2_before_any_read(tmp_path, c
     assert not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["eval-ds", "eval-klw", "bt-fit"])
+def test_a_text_out_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsysbinary,
+                                                                   command):
+    ex = save_rgb(tmp_path / "ex.ppm")
+    synths = [save_rgb(tmp_path / "a.ppm", phase=1.0), save_rgb(tmp_path / "b.ppm", phase=2.0)]
+    args = {
+        "eval-ds": ["--exemplar", ex, "--synth", *synths],
+        "eval-klw": ["--ref", ex, "--scales", "2", "--synth", *synths],
+        "bt-fit": ["--duels", write_duels(tmp_path / "duels.csv", duel_rows())],
+    }[command]
+    assert main([command, *args, "--out", "-"]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert main([command, *args, "--out", str(tmp_path / "out.txt")]) == 0
+    assert (tmp_path / "out.txt").read_bytes() == stdout
+    # csv's \r\n row ends for the metrics, one \n after the JSON
+    assert stdout.endswith(b"}\n" if command == "bt-fit" else b"\r\n")
+
+
+def test_an_eval_out_of_dash_is_stdout_even_beside_a_file_named_dash(tmp_path, capsys,
+                                                                     monkeypatch):
+    ex = save_rgb(tmp_path / "ex.ppm")
+    dash = Path(save_rgb(tmp_path / "-", phase=1.0))
+    before = dash.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval-klw", "--ref", ex, "--scales", "2", "--synth", "-", "--out", "-"]) == 0
+    rows = read_csv(capsys.readouterr().out)
+    assert [row[:3] for row in rows[1:]] == [["ex", "-", "klw"], ["ex", "-", "klw_sum"]]
+    assert dash.read_bytes() == before
+
+
 def write_duels(path, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -913,6 +958,20 @@ class TestProjectSpectrum:
         result = read_image(out)
         assert (result.h, result.w, result.c) == (16, 16, 3)
 
+    def test_an_image_named_dash_is_a_file_its_out_would_overwrite(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        save_rgb(tmp_path / "ex.ppm")
+        dash = Path(save_rgb(tmp_path / "-", phase=1.0))
+        before = dash.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        forbid_reads(monkeypatch)
+        rc = main(["project-spectrum", "--exemplar", "ex.ppm", "--image", "-", "--out", "-"])
+        assert rc == 2
+        assert stderr_payload(capsys) == {
+            "error": "CliError",
+            "message": "--out - is the same file as --image, which it would overwrite"}
+        assert dash.read_bytes() == before
+
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         ex = save_rgb(tmp_path / "ex.ppm", n=16)
         img = save_rgb(tmp_path / "img.ppm", n=8)
@@ -950,6 +1009,17 @@ def bad_input_argv(tmp_path, case):
         return synth_args + ["--variant", case]
     if case == "unknown-arch":  # one architecture, so no --arch option to pass it
         return synth_args + ["--arch", "vgg-max", "--variant", "gram"]
+    if case == "jobs-flag":  # the eval commands score one image at a time
+        return ["eval-ds", "--exemplar", ex, "--synth", other, "--jobs", "2"]
+    if case in ("exemplar-under-a-file", "exemplar-under-a-missing-dir"):
+        parent = tmp_path / "afile"
+        if case == "exemplar-under-a-file":
+            parent.write_text("not a directory")
+        return ["eval-ds", "--exemplar", str(parent / "ex.ppm"), "--synth", other]
+    if case == "disp-dir-is-a-file":
+        (tmp_path / "afile").write_text("not a directory")
+        return ["eval-ds", "--exemplar", ex, "--synth", other,
+                "--disp-dir", str(tmp_path / "afile"), "--out", str(tmp_path / "m.csv")]
     if case == "negative-net-seed":
         return synth_args + ["--net-seed", "-1", "--variant", "gram"]
     if case == "binary-config":
@@ -974,6 +1044,7 @@ def bad_input_argv(tmp_path, case):
     "gray-exemplar-rgb-synth", "even-patch", "synth-the-size-of-a-patch",
     "zero-wavelet-scales", "msinit", "gram+gram", "unknown-arch", "negative-net-seed",
     "binary-config", "self-duel", "duplicate-layer-names", "non-integer-net-seed",
+    "jobs-flag", "exemplar-under-a-file", "exemplar-under-a-missing-dir", "disp-dir-is-a-file",
 ])
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, case):
     argv = bad_input_argv(tmp_path, case)

@@ -39,11 +39,9 @@ from .losses import (
     SpectrumTarget,
     StatTargets,
     autocorr_loss,
-    autocorr_of,
     circular_autocorr,
     compute_targets,
     gram_loss,
-    gram_of,
     spectrum_loss,
     spectrum_project,
     spectrum_target,
@@ -54,7 +52,6 @@ from .net import (
     Network,
     NetworkWeights,
     WeightsFormatError,
-    backward,
     forward,
     load_weights,
     make_network,

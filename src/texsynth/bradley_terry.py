@@ -24,16 +24,12 @@ class DisconnectedGraph(InputError):
 
 
 class SeparationDivergence(Exception):
-    """Strengths diverge (some method wins or loses too cleanly).
+    """Strengths have no finite maximum: some group of methods won, or lost,
+    every duel against the rest. Carries all the methods as `methods`."""
 
-    Carries the strengths at detection time as `beta`; None when the
-    divergence is already visible in the duel table itself.
-    """
-
-    def __init__(self, message, methods=None, beta=None):
+    def __init__(self, message, methods=None):
         super().__init__(message)
         self.methods = methods
-        self.beta = beta
 
 
 @dataclass
@@ -110,23 +106,45 @@ def load_duels(path, scale=None, image_ids=None) -> DuelDataset:
     return DuelDataset.from_records(records)
 
 
-def _check_connected(methods, totals: np.ndarray) -> None:
-    n = len(methods)
-    if np.any(totals.sum(axis=0) + totals.sum(axis=1) == 0):
-        lonely = [m for i, m in enumerate(methods)
-                  if totals[i].sum() + totals[:, i].sum() == 0]
-        raise DisconnectedGraph(f"methods with no duels: {lonely}")
-    seen = {0}
+def _reachable(adj: np.ndarray) -> np.ndarray:
+    """Which nodes a path along edges i -> j with adj[i, j] > 0 reaches from node 0."""
+    seen = np.arange(len(adj)) == 0
     frontier = [0]
     while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if j not in seen and totals[i, j] > 0:
-                seen.add(j)
-                frontier.append(j)
-    if len(seen) != n:
-        missing = [methods[i] for i in range(n) if i not in seen]
+        new = (adj[frontier.pop()] > 0) & ~seen
+        seen |= new
+        frontier.extend(np.flatnonzero(new))
+    return seen
+
+
+def _check_connected(methods, totals: np.ndarray) -> None:
+    played = totals.sum(axis=1)
+    if not played.all():
+        lonely = [m for m, n in zip(methods, played) if not n]
+        raise DisconnectedGraph(f"methods with no duels: {lonely}")
+    seen = _reachable(totals)
+    if not seen.all():
+        missing = [m for m, s in zip(methods, seen) if not s]
         raise DisconnectedGraph(f"comparison graph is disconnected: {missing}")
+
+
+def _check_separation(methods, wins: np.ndarray) -> None:
+    """Ford's (1957) condition for a finite maximum: every method must reach
+    every other along "beat at least once" edges. From method 0, the methods
+    no path reaches won every duel against the rest; along reversed edges,
+    they lost every one."""
+    won, played = wins.sum(axis=1), wins.sum(axis=0) + wins.sum(axis=1)
+    clean = (won == played) | (won == 0)  # played > 0 once connected
+    if np.any(clean):
+        names = [m for m, c in zip(methods, clean) if c]
+        raise SeparationDivergence(f"methods with only wins or only losses: {names}; "
+                                   "strengths have no finite maximum", methods)
+    for adj, outcome in ((wins, "won"), (wins.T, "lost")):
+        seen = _reachable(adj)
+        if not seen.all():
+            names = [m for m, s in zip(methods, seen) if not s]
+            raise SeparationDivergence(f"methods {names} {outcome} every duel against "
+                                       "the rest; strengths have no finite maximum", methods)
 
 
 def _log_likelihood(beta: np.ndarray, wins: np.ndarray) -> float:
@@ -147,32 +165,19 @@ def _nll_hessian(totals: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.diag(w.sum(axis=1)) - w
 
 
-def _check_separation(methods, beta: np.ndarray) -> None:
-    if np.max(np.abs(beta)) > 30.0:
-        raise SeparationDivergence(
-            "strengths diverged: some method separates perfectly", methods, beta,
-        )
-
-
 def bt_fit(data: DuelDataset, tol: float = 1e-10, max_iter: int = 200) -> BTFit:
     """Sum-zero MLE of strengths by damped Newton.
 
     Stops when the max-norm gradient falls below `tol`, or earlier when no
     halved Newton step raises the log-likelihood: there the likelihood is
     flat to double precision, with gradients typically 1e-5 to 1e-4.
+    Raises DisconnectedGraph or SeparationDivergence, before any step, where
+    the maximum does not exist or is not unique.
     """
     wins = data.wins
     totals = wins + wins.T
     _check_connected(data.methods, totals)
-    won, played = wins.sum(axis=1), totals.sum(axis=1)
-    clean = (won == played) | (won == 0)  # played > 0 once connected
-    if np.any(clean):
-        names = [m for m, c in zip(data.methods, clean) if c]
-        raise SeparationDivergence(
-            f"methods with only wins or only losses: {names}; "
-            "strengths have no finite maximum",
-            data.methods, None,
-        )
+    _check_separation(data.methods, wins)
     n = len(data.methods)
     beta = np.zeros(n)
     ll = _log_likelihood(beta, wins)
@@ -181,7 +186,6 @@ def bt_fit(data: DuelDataset, tol: float = 1e-10, max_iter: int = 200) -> BTFit:
         grad = (wins - totals * p).sum(axis=1)
         if np.max(np.abs(grad)) < tol:
             break
-        _check_separation(data.methods, beta)
         step = np.linalg.pinv(_nll_hessian(totals, p)) @ grad
         t = 1.0
         for _ in range(40):
@@ -196,7 +200,6 @@ def bt_fit(data: DuelDataset, tol: float = 1e-10, max_iter: int = 200) -> BTFit:
             break  # no ascent step left; gradient is numerically flat
     else:
         raise RuntimeError("strength fit did not converge")
-    _check_separation(data.methods, beta)
     cov = np.linalg.pinv(_nll_hessian(totals, _win_prob(beta)), hermitian=True)
     return BTFit(data.methods, beta, cov)
 

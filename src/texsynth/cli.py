@@ -2,15 +2,17 @@
 
 Subcommands: synth, eval-ds, eval-klw, bt-fit, project-spectrum, selftest.
 Exit 2 is bad input: an InputError (CliError is one), or a user path that
-is missing, a directory, under a regular file, or not valid JSON or text,
-or a --disp-dir that is a regular file. Every other exception exits 1.
+is missing, a directory, under a regular file, or not valid JSON or text.
+Every other exception exits 1.
 Either way stderr gets one JSON object {"error", "message"}. The synth
 options are the fields of RunConfig: each is a flag and a key of the JSON
 config file (strict schema; the key has `_` where the flag has `-`). A
 --config file presets them, and flags win. A --replay session sets them all,
 takes only the REPLAY_FLAGS paths, and writes the recorded bytes or exits 1.
 In every command, an output that is the same file as an input (--config and
---replay included) or as another output exits 2 before anything is written.
+--replay included) or as another output, or whose directory does not exist,
+exits 2 before any input is read. So does an eval-ds --disp-dir that is not
+a directory or would be made under a regular file; a missing one is created.
 `-` means stdout only as the --out of eval-ds, eval-klw and bt-fit; every
 other path `-` is a file. The eval commands score one image at a time, and
 BLAS threads (OPENBLAS_NUM_THREADS) are their only parallelism.
@@ -249,9 +251,9 @@ def cmd_synth(args) -> int:
     if not cfg.out:
         raise CliError("an output path is required (flag --out or config)")
     session_path = cfg.session or str(Path(cfg.out).with_suffix("")) + ".session.json"
-    _refuse_overwrite([("--exemplar", cfg.exemplar), ("--net-weights", cfg.net_weights),
-                       ("--config", args.config), ("--replay", args.replay)],
-                      [("--out", cfg.out), ("--session", session_path), ("--curve", cfg.curve)])
+    _check_outputs([("--exemplar", cfg.exemplar), ("--net-weights", cfg.net_weights),
+                    ("--config", args.config), ("--replay", args.replay)],
+                   [("--out", cfg.out), ("--session", session_path), ("--curve", cfg.curve)])
     exemplar = read_image(cfg.exemplar)
     if recorded is not None and synth.exemplar_hash(exemplar) != recorded.exemplar.get("sha256"):
         raise CliError(f"exemplar at {cfg.exemplar} does not match the session hash")
@@ -304,11 +306,20 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _refuse_overwrite(inputs, outputs) -> None:
-    """Reject an output (flag, path) that is an input's or another output's file."""
+def _check_outputs(inputs, outputs, new_dir=None) -> None:
+    """Reject an output (flag, path) that is an input's or another output's
+    file, or whose directory does not exist. Only `new_dir`, which the
+    command creates, may be missing, and then only under a directory."""
+    made = new_dir and os.path.abspath(new_dir)
     claimed = {os.path.realpath(path): flag for flag, path in inputs if path}
     for flag, path in outputs:
         if path:
+            parent = os.path.dirname(os.path.abspath(path))
+            if parent == made:  # its nearest existing ancestor must be a directory
+                while not os.path.exists(parent):
+                    parent = os.path.dirname(parent)
+            if not os.path.isdir(parent):
+                raise CliError(f"{flag} {path}: {parent} is not an existing directory")
             real = os.path.realpath(path)
             if real in claimed:
                 raise CliError(f"{flag} {path} is the same file as {claimed[real]}, "
@@ -349,8 +360,9 @@ def _method_names(paths) -> list[str]:
 def cmd_eval_ds(args) -> int:
     methods = _method_names(args.synth)
     maps = [os.path.join(args.disp_dir, f"{m}.disp.ppm") for m in methods] if args.disp_dir else []
-    _refuse_overwrite([("--exemplar", args.exemplar)] + [("--synth", p) for p in args.synth],
-                      [("--out", _text_file(args.out))] + [("--disp-dir", path) for path in maps])
+    _check_outputs([("--exemplar", args.exemplar)] + [("--synth", p) for p in args.synth],
+                   [("--out", _text_file(args.out))] + [("--disp-dir", path) for path in maps],
+                   args.disp_dir)
     exemplar = read_image(args.exemplar)
     image_id = args.image_id or Path(args.exemplar).stem
 
@@ -369,8 +381,8 @@ def cmd_eval_ds(args) -> int:
 
 def cmd_eval_klw(args) -> int:
     methods = _method_names(args.synth)
-    _refuse_overwrite([("--ref", args.ref)] + [("--synth", p) for p in args.synth],
-                      [("--out", _text_file(args.out))])
+    _check_outputs([("--ref", args.ref)] + [("--synth", p) for p in args.synth],
+                   [("--out", _text_file(args.out))])
     ref = read_image(args.ref)
     image_id = args.image_id or Path(args.ref).stem
 
@@ -411,8 +423,8 @@ def _load_classes(path) -> dict[str, str]:
 
 
 def cmd_bt_fit(args) -> int:
-    _refuse_overwrite([("--duels", args.duels), ("--classes", args.classes)],
-                      [("--out", _text_file(args.out))])
+    _check_outputs([("--duels", args.duels), ("--classes", args.classes)],
+                   [("--out", _text_file(args.out))])
     filters = _parse_filters(args.filter)
     image_ids = None
     if "image-class" in filters:
@@ -439,8 +451,8 @@ def cmd_bt_fit(args) -> int:
 
 
 def cmd_project_spectrum(args) -> int:
-    _refuse_overwrite([("--exemplar", args.exemplar), ("--image", args.image)],
-                      [("--out", args.out)])
+    _check_outputs([("--exemplar", args.exemplar), ("--image", args.image)],
+                   [("--out", args.out)])
     exemplar = read_image(args.exemplar)
     image = read_image(args.image)
     target = losses.spectrum_target(exemplar)

@@ -8,6 +8,7 @@ optimization may wander outside the range without loss of information.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,41 +157,16 @@ def quantize(img: Image, bits: int = 16) -> np.ndarray:
 
 
 _PNG_MAGIC = b"\x89PNG\r\n\x1a\n"
-
-
-def _read_pnm_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
-    """Read `count` whitespace-separated header tokens, honoring # comments.
-
-    Returns the tokens and the offset one byte past the final separator,
-    which is where the binary payload starts.
-    """
-    tokens = []
-    i = 0
-    n = len(blob)
-    while len(tokens) < count:
-        while i < n and blob[i : i + 1].isspace():
-            i += 1
-        if i < n and blob[i : i + 1] == b"#":
-            while i < n and blob[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < n and not blob[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            raise RasterFormatError("truncated header")
-        tokens.append(blob[start:i])
-        if len(tokens) == count:
-            # exactly one whitespace byte separates the header from the payload
-            if i >= n or not blob[i : i + 1].isspace():
-                raise RasterFormatError("missing separator after header")
-            i += 1
-    return tokens, i
+# A comment may follow a number directly, as libnetpbm's pm_getc allows.
+_PNM_SEP = rb"(?:\s|#[^\n]*\n)+"
+_PNM_HEADER = re.compile(rb"P([56])" + (_PNM_SEP + rb"(\d+)") * 3 + rb"\s")
 
 
 def read_image(path) -> Image:
     """Read a binary PGM (P5) or PPM (P6) file, 8- or 16-bit.
 
+    The header (_PNM_HEADER) is the magic, then width, height and maxval,
+    each after whitespace and "#" line comments, then one whitespace byte.
     Samples are mapped to [0, 1] by dividing by maxval. 16-bit samples are
     big-endian. PNG input is accepted as a convenience when Pillow is
     installed; PNM is the native format.
@@ -199,22 +175,18 @@ def read_image(path) -> Image:
         blob = fh.read()
     if blob.startswith(_PNG_MAGIC):
         return _read_png(path)
-    if len(blob) < 2 or blob[:2] not in (b"P5", b"P6"):
-        raise RasterFormatError(f"not a binary PGM/PPM file: {path}")
-    channels = 1 if blob[:2] == b"P5" else 3
-    tokens, offset = _read_pnm_tokens(blob[2:], 3)
-    offset += 2
-    try:
-        w, h, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise RasterFormatError(f"bad header token in {path}") from exc
+    header = _PNM_HEADER.match(blob)
+    if header is None:
+        raise RasterFormatError(f"not a binary PGM/PPM header: {path}")
+    magic, w, h, maxval = map(int, header.groups())
+    channels = 1 if magic == 5 else 3
     if w < 1 or h < 1:
         raise RasterFormatError(f"bad dimensions {w}x{h} in {path}")
     if not 0 < maxval < 65536:
         raise RasterFormatError(f"bad maxval {maxval} in {path}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
     expect = h * w * channels * dtype.itemsize
-    payload = blob[offset : offset + expect]
+    payload = blob[header.end() : header.end() + expect]
     if len(payload) != expect:
         raise RasterFormatError(
             f"truncated payload in {path}: expected {expect} bytes, got {len(payload)}"

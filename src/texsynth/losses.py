@@ -146,13 +146,9 @@ def _feature_loss(stat, feats: dict[str, np.ndarray], target: FeatureTarget):
     return value, cots
 
 
-def gram_of(feats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Gram matrix (m, m) per layer: F^T F / N^2 for F of shape (N, m)."""
-    return {name: _gram(f)[0] for name, f in feats.items()}
-
-
 def gram_target(feats: dict[str, np.ndarray], weights) -> FeatureTarget:
-    return FeatureTarget(gram_of(feats), weights)
+    """Gram matrix (m, m) per layer: F^T F / N^2 for F of shape (N, m)."""
+    return FeatureTarget({name: _gram(f)[0] for name, f in feats.items()}, weights)
 
 
 def gram_loss(feats: dict[str, np.ndarray], target: FeatureTarget):
@@ -206,13 +202,9 @@ def spectrum_loss(img, target: SpectrumTarget):
     return float(np.sum(resid**2) / (2 * n)), resid / n
 
 
-def autocorr_of(feats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Autocorrelation per feature channel as |fft2|^2 / N^2, layer-keyed."""
-    return {name: _autocorr(f)[0] for name, f in feats.items()}
-
-
 def autocorr_target(feats: dict[str, np.ndarray], weights) -> FeatureTarget:
-    return FeatureTarget(autocorr_of(feats), weights)
+    """Autocorrelation per feature channel as |fft2|^2 / N^2, layer-keyed."""
+    return FeatureTarget({name: _autocorr(f)[0] for name, f in feats.items()}, weights)
 
 
 def autocorr_loss(feats: dict[str, np.ndarray], target: FeatureTarget):

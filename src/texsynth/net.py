@@ -305,8 +305,13 @@ def forward(net: Network, img, wanted=None) -> dict[str, np.ndarray]:
 
 def forward_with_pullback(net: Network, img, wanted):
     """Activations plus a closure mapping per-layer cotangents to the
-    input-image gradient. One forward pass total; the closure walks the
-    tape of layer adjoints in reverse."""
+    input-image gradient of sum_l <cotangents[l], f_l(img)>.
+
+    One forward pass total; the closure walks the tape of layer adjoints in
+    reverse and is the exact adjoint of forward: ReLU passes zero at zero,
+    average pooling spreads by the window's true pixel count, max pooling
+    routes to the first maximum.
+    """
     acts, tape = _run(net, img, wanted)
     shapes = {name: shape for name, shape, _ in tape}
 
@@ -330,14 +335,3 @@ def forward_with_pullback(net: Network, img, wanted):
         return np.zeros(as_array(img).shape) if grad is None else grad
 
     return acts, pull
-
-
-def backward(net: Network, img, cotangents: dict[str, np.ndarray]) -> np.ndarray:
-    """Gradient w.r.t. the input image of sum_l <cotangents[l], f_l(img)>.
-
-    Exact adjoint of forward: ReLU passes zero at zero, average pooling
-    spreads by the window's true pixel count, max pooling routes to the
-    first maximum.
-    """
-    _, pull = forward_with_pullback(net, img, ())
-    return pull(cotangents)

@@ -109,6 +109,23 @@ class TestFit:
         assert "'c'" in str(err.value)
         assert "'a'" not in str(err.value)
 
+    def test_a_group_winning_every_duel_against_the_rest_raises(self):
+        # every method wins and loses some duels, yet a and b beat c and d every
+        # time, so widening the gap between the pairs raises the likelihood forever
+        wins = np.array([[0, 3, 5, 5], [2, 0, 5, 5], [0, 0, 0, 4], [0, 0, 1, 0]])
+        with pytest.raises(SeparationDivergence) as err:
+            bt_fit(DuelDataset(("a", "b", "c", "d"), wins))
+        assert "['c', 'd'] lost every duel" in str(err.value)
+
+    def test_a_lopsided_chain_has_finite_strengths(self):
+        # each method wins 10^4 : 1 against the next, so each gap is ln 10^4
+        wins = np.zeros((8, 8))
+        for i in range(7):
+            wins[i, i + 1], wins[i + 1, i] = 1e4, 1.0
+        fit = bt_fit(DuelDataset(tuple("abcdefgh"), wins))
+        span = 7 * np.log(1e4)
+        assert abs(np.ptp(fit.beta) - span) < 1e-6 * span
+
 
 class TestSignificance:
     def fit_with(self, delta, var):

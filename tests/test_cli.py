@@ -46,6 +46,7 @@ def forbid_reads(monkeypatch):
 
     monkeypatch.setattr(cli, "read_image", fail)
     monkeypatch.setattr(cli.netmod, "load_weights", fail)
+    monkeypatch.setattr(cli.bradley_terry, "load_duels", fail)
 
 
 def forbid_synthesis(monkeypatch):
@@ -811,6 +812,62 @@ def test_a_displacement_map_that_is_an_input_exits_2_before_any_read(tmp_path, c
     assert not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize("case", ["synth-out", "synth-session", "synth-curve", "eval-ds",
+                                  "eval-klw", "bt-fit", "project-spectrum"])
+def test_an_output_in_a_missing_directory_exits_2_before_any_read(tmp_path, capsys,
+                                                                  monkeypatch, case):
+    ex = save_rgb(tmp_path / "ex.ppm")
+    other = save_rgb(tmp_path / "a.ppm", phase=1.0)
+    duels = write_duels(tmp_path / "duels.csv", duel_rows())
+    out = str(tmp_path / "out.ppm")
+    missing = str(tmp_path / "nodir" / "x")
+    argv = {  # the output in the missing directory comes last
+        "synth-out": ["synth", "--exemplar", ex, "--out", missing],  # default session too
+        "synth-session": ["synth", "--exemplar", ex, "--out", out, "--session", missing],
+        "synth-curve": ["synth", "--exemplar", ex, "--out", out, "--curve", missing],
+        "eval-ds": ["eval-ds", "--exemplar", ex, "--synth", other,
+                    "--disp-dir", str(tmp_path / "maps"), "--out", missing],
+        "eval-klw": ["eval-klw", "--ref", ex, "--synth", other, "--out", missing],
+        "bt-fit": ["bt-fit", "--duels", duels, "--out", missing],
+        "project-spectrum": ["project-spectrum", "--exemplar", ex, "--image", other,
+                             "--out", missing],
+    }[case]
+    before = sorted(tmp_path.iterdir())
+    forbid_reads(monkeypatch)
+    assert main(argv) == 2
+    assert stderr_payload(capsys) == {
+        "error": "CliError",
+        "message": f"{argv[-2]} {missing}: {tmp_path / 'nodir'} is not an existing directory"}
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("case", ["is-a-file", "under-a-file"])
+def test_a_disp_dir_that_cannot_be_a_directory_exits_2_before_any_read(tmp_path, capsys,
+                                                                       monkeypatch, case):
+    ex = save_rgb(tmp_path / "ex.ppm")
+    other = save_rgb(tmp_path / "a.ppm", phase=1.0)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    disp_dir = afile if case == "is-a-file" else afile / "maps"
+    forbid_reads(monkeypatch)
+    rc = main(["eval-ds", "--exemplar", ex, "--synth", other, "--disp-dir", str(disp_dir),
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert stderr_payload(capsys) == {
+        "error": "CliError",
+        "message": f"--disp-dir {disp_dir / 'a.disp.ppm'}: {afile} is not an existing directory"}
+    assert afile.read_text() == "not a directory"
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_a_missing_disp_dir_is_made_with_its_missing_parents(tmp_path):
+    ex = save_rgb(tmp_path / "ex.ppm")
+    maps = tmp_path / "new" / "maps"
+    assert main(["eval-ds", "--exemplar", ex, "--synth", save_rgb(tmp_path / "a.ppm", phase=1.0),
+                 "--disp-dir", str(maps), "--out", str(tmp_path / "m.csv")]) == 0
+    assert read_image(maps / "a.disp.ppm").c == 3
+
+
 @pytest.mark.parametrize("command", ["eval-ds", "eval-klw", "bt-fit"])
 def test_a_text_out_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsysbinary,
                                                                    command):
@@ -937,6 +994,21 @@ class TestBtFit:
         assert rc == 1
         assert stderr_payload(capsys)["error"] == "SeparationDivergence"
 
+    def test_a_group_that_won_every_duel_against_the_rest_exits_1(self, tmp_path, capsys):
+        # a and b split their duels, as do c and d, but a and b beat c and d 20-0
+        rows = [["a", "b", "a", "i", "g"]] * 3 + [["a", "b", "b", "i", "g"]] * 2
+        rows += [["c", "d", "c", "i", "g"]] * 4 + [["c", "d", "d", "i", "g"]]
+        rows += [[w, l, w, "i", "g"] for w in "ab" for l in "cd"] * 5
+        duels = write_duels(tmp_path / "duels.csv", rows)
+        out = tmp_path / "fit.json"
+        rc = main(["bt-fit", "--duels", duels, "--out", str(out)])
+        assert rc == 1
+        assert stderr_payload(capsys) == {
+            "error": "SeparationDivergence",
+            "message": "methods ['c', 'd'] lost every duel against the rest; "
+                       "strengths have no finite maximum"}
+        assert not out.exists()
+
 
 class TestProjectSpectrum:
     def test_projecting_the_exemplar_onto_itself_is_near_identity(self, tmp_path):
@@ -1026,6 +1098,20 @@ def bad_input_argv(tmp_path, case):
         config = tmp_path / "c.json"
         config.write_bytes(b"\xff\xfe\x00\x01")
         return ["synth", "--config", str(config), "--out", str(tmp_path / "x.ppm")]
+    if case in ("filter-without-value", "unknown-filter-key", "unknown-image-class"):
+        flt = {"filter-without-value": "scale", "unknown-filter-key": "size=big",
+               "unknown-image-class": "image-class=pretty"}[case]
+        return ["bt-fit", "--duels", write_duels(tmp_path / "d.csv", duel_rows()),
+                "--filter", flt]
+    if case == "classes-without-class-column":
+        (tmp_path / "c.csv").write_text("image_id,kind\nimg1,regular\n")
+        return ["bt-fit", "--duels", write_duels(tmp_path / "d.csv", duel_rows()),
+                "--classes", str(tmp_path / "c.csv"), "--filter", "image-class=regular"]
+    if case == "config-array":
+        (tmp_path / "c.json").write_text('["gram"]')
+        return synth_args + ["--config", str(tmp_path / "c.json")]
+    if case == "synth-without-out":
+        return ["synth", "--exemplar", ex]
     if case == "self-duel":
         return ["bt-fit", "--duels", write_duels(tmp_path / "d.csv", [["a", "a", "a", "i", "g"]])]
     if case == "duplicate-layer-names":
@@ -1045,6 +1131,8 @@ def bad_input_argv(tmp_path, case):
     "zero-wavelet-scales", "msinit", "gram+gram", "unknown-arch", "negative-net-seed",
     "binary-config", "self-duel", "duplicate-layer-names", "non-integer-net-seed",
     "jobs-flag", "exemplar-under-a-file", "exemplar-under-a-missing-dir", "disp-dir-is-a-file",
+    "filter-without-value", "unknown-filter-key", "unknown-image-class",
+    "classes-without-class-column", "config-array", "synth-without-out",
 ])
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, case):
     argv = bad_input_argv(tmp_path, case)

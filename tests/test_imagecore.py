@@ -211,6 +211,25 @@ class TestPnmIO:
         with pytest.raises(RasterFormatError):
             read_image(path)
 
+    def test_a_comment_may_follow_a_number_directly(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n2#c\n2\n255\n" + bytes([0, 64, 128, 255]))
+        img = read_image(path)
+        assert img.data.shape == (2, 2, 1)
+        assert np.allclose(img.data.ravel() * 255, [0, 64, 128, 255])
+
+    @pytest.mark.parametrize("blob", [
+        b"P52 2\n255\n" + bytes(4),  # no separator after the magic
+        b"P5\n2 2\n",  # the file ends before maxval
+        b"P5\n2 2\n255",  # the file ends at maxval
+        b"P5\n2 2\n255" + bytes([128, 64, 32, 16]),  # no separator before the payload
+    ], ids=["magic-then-digit", "ends-before-maxval", "ends-at-maxval", "maxval-then-payload"])
+    def test_malformed_header_rejected(self, tmp_path, blob):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(RasterFormatError):
+            read_image(path)
+
     def test_zero_maxval_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n2 2\n0\n" + bytes(4))

@@ -13,12 +13,10 @@ import pytest
 from texsynth.imagecore import Image
 from texsynth.losses import (
     autocorr_loss,
-    autocorr_of,
     autocorr_target,
     circular_autocorr,
     compute_targets,
     gram_loss,
-    gram_of,
     gram_target,
     spectrum_loss,
     spectrum_project,
@@ -58,13 +56,13 @@ class TestGram:
     def test_hand_example(self):
         # feature rows (1,0) and (0,2): G = F^T F / N^2 with N = 2
         f = np.array([[[1.0, 0.0]], [[0.0, 2.0]]])
-        g = gram_of({"l": f})["l"]
+        g = gram_target({"l": f}, 1.0).stats["l"]
         assert np.array_equal(g, np.array([[0.25, 0.0], [0.0, 1.0]]))
 
     def test_impulse_example(self):
         f = np.zeros((4, 4, 1))
         f[0, 0, 0] = 1.0
-        assert np.allclose(gram_of({"l": f})["l"], [[1.0 / 256.0]])
+        assert np.allclose(gram_target({"l": f}, 1.0).stats["l"], [[1.0 / 256.0]])
 
     def test_zero_at_target(self):
         rng = np.random.default_rng(0)
@@ -80,7 +78,7 @@ class TestGram:
         t = rng.standard_normal((5, 3, 2))
         target = gram_target({"l": t}, 3.0)
         value, _ = gram_loss({"l": f}, target)
-        diff = gram_of({"l": f})["l"] - gram_of({"l": t})["l"]
+        diff = gram_target({"l": f}, 1.0).stats["l"] - gram_target({"l": t}, 1.0).stats["l"]
         assert np.isclose(value, 3.0 * np.sum(diff**2))
 
     def test_gradient_matches_finite_differences(self):
@@ -182,13 +180,13 @@ class TestAutocorr:
         x[0, 0] = 1.0
         c = circular_autocorr(x)
         assert np.allclose(c, [[1.0 / 16.0, 0.0], [0.0, 0.0]], atol=1e-15)
-        a = autocorr_of({"l": x[:, :, None]})["l"][:, :, 0]
+        a = autocorr_target({"l": x[:, :, None]}, 1.0).stats["l"][:, :, 0]
         assert np.allclose(a, 1.0 / 16.0, atol=1e-15)
 
     def test_constant_examples(self):
         x = np.ones((2, 2))
         assert np.allclose(circular_autocorr(x), 0.25, atol=1e-15)
-        a = autocorr_of({"l": x[:, :, None]})["l"][:, :, 0]
+        a = autocorr_target({"l": x[:, :, None]}, 1.0).stats["l"][:, :, 0]
         assert np.isclose(a[0, 0], 1.0)
         assert np.abs(a[0, 1]) < 1e-15 and np.abs(a[1, 0]) < 1e-15
 

@@ -1,5 +1,8 @@
 """Conv chain forward/backward, pooling, and the weights file format."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from texsynth.net import (
     Network,
     NetworkWeights,
     WeightsFormatError,
-    backward,
     forward,
     forward_with_pullback,
     load_weights,
@@ -117,7 +119,7 @@ class TestForwardBackward:
             acts = forward(net, img, wanted=list(cots))
             return sum(np.vdot(cots[k], acts[k]) for k in cots)
 
-        ana = backward(net, x, cots)
+        ana = forward_with_pullback(net, x, ())[1](cots)
         num = fd_grad(scalar, x)
         denom = max(np.abs(num).max(), 1e-12)
         assert np.abs(ana - num).max() / denom < 1e-6
@@ -132,14 +134,14 @@ class TestForwardBackward:
         x = rng.standard_normal((6, 6, 2))
         g = rng.standard_normal((6, 6, 4))
         lhs = np.vdot(forward(net, x, wanted=["b"])["b"], g)
-        rhs = np.vdot(x, backward(net, x, {"b": g}))
+        rhs = np.vdot(x, forward_with_pullback(net, x, ())[1]({"b": g}))
         assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
     def test_relu_passes_zero_at_zero(self):
         specs = (LayerSpec("r", "relu", 1, 1),)
         net = Network(specs, NetworkWeights(specs, {}))
         x = np.array([[-1.0], [0.0], [2.0]])[:, :, None]
-        grad = backward(net, x, {"r": np.ones((3, 1, 1))})
+        grad = forward_with_pullback(net, x, ())[1]({"r": np.ones((3, 1, 1))})
         assert grad.ravel().tolist() == [0.0, 0.0, 1.0]
 
     @pytest.mark.parametrize("pool", ["avg", "max"])
@@ -150,7 +152,7 @@ class TestForwardBackward:
         cots = {"p2": rng.standard_normal(net.layer_dims(7, 9)["p2"])}
         acts, pull = forward_with_pullback(net, x, wanted=["p2"])
         assert np.array_equal(acts["p2"], forward(net, x, wanted=["p2"])["p2"])
-        assert np.array_equal(pull(cots), backward(net, x, cots))
+        assert np.array_equal(pull(cots), forward_with_pullback(net, x, ())[1](cots))
 
     def test_unknown_layer_request_rejected(self):
         net = small_net()
@@ -160,7 +162,7 @@ class TestForwardBackward:
     def test_cotangent_shape_mismatch_rejected(self):
         net = small_net()
         with pytest.raises(ValueError, match="cotangent shape"):
-            backward(net, np.zeros((8, 8, 3)), {"p1": np.zeros((2, 2, 4))})
+            forward_with_pullback(net, np.zeros((8, 8, 3)), ())[1]({"p1": np.zeros((2, 2, 4))})
 
     def test_input_channel_mismatch_rejected(self):
         net = small_net()
@@ -194,7 +196,8 @@ class TestPooling:
         def scalar(img):
             return np.vdot(g, forward(net, img, wanted=["p"])["p"])
 
-        assert np.allclose(backward(net, x, {"p": g}), fd_grad(scalar, x), atol=1e-8)
+        grad = forward_with_pullback(net, x, ())[1]({"p": g})
+        assert np.allclose(grad, fd_grad(scalar, x), atol=1e-8)
 
     def test_max_pool_takes_blockwise_max(self):
         net = self.pool_net("max")
@@ -205,7 +208,7 @@ class TestPooling:
     def test_max_pool_backward_routes_to_argmax(self):
         net = self.pool_net("max")
         x = np.array([[1.0, 4.0], [3.0, 2.0]])[:, :, None]
-        grad = backward(net, x, {"p": np.full((1, 1, 1), 2.0)})
+        grad = forward_with_pullback(net, x, ())[1]({"p": np.full((1, 1, 1), 2.0)})
         assert grad[:, :, 0].tolist() == [[0.0, 2.0], [0.0, 0.0]]
 
     def test_default_network_uses_avg_pool(self):
@@ -257,6 +260,20 @@ class TestWeights:
         save_weights(w, path)
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(WeightsFormatError):
+            load_weights(path)
+
+    @pytest.mark.parametrize("edit", ["other-version", "trailing-bytes"])
+    def test_a_resealed_body_the_loader_does_not_know_is_rejected(self, tmp_path, edit):
+        path = tmp_path / "w.ntw"
+        save_weights(random_weights(small_specs(), 0), path)
+        body = path.read_bytes()[:-4]
+        if edit == "other-version":
+            body = body[:4] + struct.pack("<I", 2) + body[8:]
+        else:
+            body += bytes(8)
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        match = "version 2" if edit == "other-version" else "trailing bytes"
+        with pytest.raises(WeightsFormatError, match=match):
             load_weights(path)
 
     def test_foreign_file_rejected(self, tmp_path):

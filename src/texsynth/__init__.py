@@ -8,7 +8,7 @@ detection via displacement maps, a wavelet-domain GGD/KL texture
 distance, and paired-comparison strength fitting.
 """
 
-__version__ = "0.1.0"  # before the submodules: every session records it
+__version__ = "0.2.0"  # before the submodules: every session records it
 
 from .bradley_terry import (
     BTFit,

@@ -2,6 +2,9 @@
 exact patch search.
 
 The convolutions run as nine shifted matrix products, one per kernel tap.
+The taps are copied to one contiguous (3, 3, ci, co) block first, so each
+tap is a unit-stride matrix and each product is one BLAS GEMM; a strided
+tap view would send numpy's matmul to its own naive loop.
 
 The patch search finds, for every synthesis window a, the exemplar window b
 of least SSD |a - b|^2. Candidates come from |a|^2 + |b|^2 - 2 a.b, with
@@ -40,14 +43,15 @@ def conv3x3(x: np.ndarray, kern: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Zero-padded 3x3 convolution, x (h,w,ci), kern (co,ci,3,3) -> (h,w,co)."""
     out = np.broadcast_to(bias, x.shape[:2] + bias.shape).copy()
     # taps[u, v] = kern[:, :, u, v].T
-    return _nine_shifts(x, kern.transpose(2, 3, 1, 0), out)
+    return _nine_shifts(x, np.ascontiguousarray(kern.transpose(2, 3, 1, 0)), out)
 
 
 def conv3x3_back(g: np.ndarray, kern: np.ndarray) -> np.ndarray:
     """Adjoint of conv3x3 w.r.t. its input, g (h,w,co) -> (h,w,ci)."""
     out = np.zeros(g.shape[:2] + (kern.shape[1],))
     # taps[u, v] = kern[:, :, 2 - u, 2 - v]
-    return _nine_shifts(g, kern[:, :, ::-1, ::-1].transpose(2, 3, 0, 1), out)
+    return _nine_shifts(g, np.ascontiguousarray(kern[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)),
+                        out)
 
 
 # Byte budget for the temporaries of one search block: the (rows, windows)

@@ -10,9 +10,10 @@ config file (strict schema; the key has `_` where the flag has `-`). A
 --config file presets them, and flags win. A --replay session sets them all,
 takes only the REPLAY_FLAGS paths, and writes the recorded bytes or exits 1.
 In every command, an output that is the same file as an input (--config and
---replay included) or as another output, or whose directory does not exist,
-exits 2 before any input is read. So does an eval-ds --disp-dir that is not
-a directory or would be made under a regular file; a missing one is created.
+--replay included) or as another output, that is a directory, or whose
+directory does not exist, exits 2 before any input is read. So does an
+eval-ds --disp-dir that is not a directory or would be made under a regular
+file; a missing one is created.
 `-` means stdout only as the --out of eval-ds, eval-klw and bt-fit; every
 other path `-` is a file. The eval commands score one image at a time, and
 BLAS threads (OPENBLAS_NUM_THREADS) are their only parallelism.
@@ -307,9 +308,10 @@ def cmd_synth(args) -> int:
 
 
 def _check_outputs(inputs, outputs, new_dir=None) -> None:
-    """Reject an output (flag, path) that is an input's or another output's
-    file, or whose directory does not exist. Only `new_dir`, which the
-    command creates, may be missing, and then only under a directory."""
+    """Reject an output (flag, path) that is a directory, an input's or
+    another output's file, or whose directory does not exist. Only
+    `new_dir`, which the command creates, may be missing, and then only
+    under a directory."""
     made = new_dir and os.path.abspath(new_dir)
     claimed = {os.path.realpath(path): flag for flag, path in inputs if path}
     for flag, path in outputs:
@@ -320,6 +322,8 @@ def _check_outputs(inputs, outputs, new_dir=None) -> None:
                     parent = os.path.dirname(parent)
             if not os.path.isdir(parent):
                 raise CliError(f"{flag} {path}: {parent} is not an existing directory")
+            if os.path.isdir(path):
+                raise CliError(f"{flag} {path} is a directory")
             real = os.path.realpath(path)
             if real in claimed:
                 raise CliError(f"{flag} {path} is the same file as {claimed[real]}, "

@@ -16,9 +16,14 @@ and one target type (FeatureTarget) serve both. compute_targets alone picks
 the layers they read: the network's default statistics layers unless others
 are asked for, less those under 2x2 at the exemplar's size.
 
-DFT convention is numpy's: unnormalized forward, 1/N inverse. The total
-loss is gram + beta * spectrum + autocorr over whichever terms a variant
-activates.
+DFT convention is numpy's: unnormalized forward, 1/N inverse. Every
+transform is of a real array, so only its half spectrum is computed and
+kept: rfft2 over (rows, columns), columns 0..w//2. Column 0 and, for an
+even width w, column w/2 stand for themselves in the full spectrum (their
+multiplicity m is 1); every other column also stands for its mirror
+(m = 2). A sum over the full spectrum is the m-weighted sum over the half
+one. The total loss is gram + beta * spectrum + autocorr over whichever
+terms a variant activates.
 """
 
 from __future__ import annotations
@@ -54,13 +59,12 @@ class FeatureTarget:
 
 @dataclass
 class SpectrumTarget:
-    """Full complex DFT of each exemplar channel, shape (h, w, c)."""
+    """Half DFT (rfft2) of each exemplar channel, shape (h, w // 2 + 1, c),
+    and the exemplar's shape (h, w, c), which the half spectrum leaves
+    ambiguous in w."""
 
     freq: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.freq.shape
+    shape: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -105,16 +109,30 @@ def _gram(f: np.ndarray):
     return fm.T @ fm / n**2, adjoint
 
 
+def _multiplicity(w: int) -> np.ndarray:
+    """How many full-spectrum columns each half-spectrum column of a width-w
+    DFT stands for: 1 for column 0 and, if w is even, column w/2; else 2."""
+    m = np.full(w // 2 + 1, 2.0)
+    m[0] = 1.0
+    if w % 2 == 0:
+        m[-1] = 1.0
+    return m
+
+
 def _autocorr(f: np.ndarray):
-    """Per-channel autocorrelation as |fft2 f|^2 / N^2, and its adjoint
-    (diff, w) -> (4 w / N) Re ifft2(diff * fft2 f)."""
+    """Per-channel autocorrelation as sqrt(m) |rfft2 f|^2 / N^2, and its
+    adjoint (diff, w) -> (4 w / N) irfft2(diff / sqrt(m) * rfft2 f).
+
+    The sqrt(m) factor makes |S - target|^2 over the half spectrum equal
+    the full-spectrum sum of |fft2 f|^2 / N^2 - target."""
     n = f.shape[0] * f.shape[1]
-    fhat = np.fft.fft2(f, axes=(0, 1))
+    root = np.sqrt(_multiplicity(f.shape[1]))[:, None]
+    fhat = np.fft.rfft2(f, axes=(0, 1))
 
     def adjoint(diff, w):
-        return (4.0 * w / n) * np.real(np.fft.ifft2(diff * fhat, axes=(0, 1)))
+        return (4.0 * w / n) * np.fft.irfft2(diff / root * fhat, s=f.shape[:2], axes=(0, 1))
 
-    return np.abs(fhat) ** 2 / n**2, adjoint
+    return np.abs(fhat) ** 2 / n**2 * root, adjoint
 
 
 def circular_autocorr(channel: np.ndarray) -> np.ndarray:
@@ -124,8 +142,9 @@ def circular_autocorr(channel: np.ndarray) -> np.ndarray:
     it equals the direct wrap-around sum
     (1/N^2) sum_ij x(i,j) x(i+k mod h, j+l mod w).
     """
-    stat = _autocorr(np.asarray(channel, dtype=np.float64)[:, :, None])[0]
-    return np.real(np.fft.ifft2(stat[:, :, 0]))
+    x = np.asarray(channel, dtype=np.float64)
+    stat = _autocorr(x[:, :, None])[0][:, :, 0]
+    return np.fft.irfft2(stat / np.sqrt(_multiplicity(x.shape[1])), s=x.shape)
 
 
 def _feature_loss(stat, feats: dict[str, np.ndarray], target: FeatureTarget):
@@ -160,7 +179,7 @@ def spectrum_target(exemplar) -> SpectrumTarget:
     data = _as_array(exemplar)
     if data.ndim == 2:  # gray array counts as one channel
         data = data[:, :, None]
-    return SpectrumTarget(np.fft.fft2(data, axes=(0, 1)))
+    return SpectrumTarget(np.fft.rfft2(data, axes=(0, 1)), data.shape)
 
 
 def spectrum_project(img, target: SpectrumTarget):
@@ -168,9 +187,11 @@ def spectrum_project(img, target: SpectrumTarget):
 
     The cross-spectrum sum_c F(img_c) conj(F(tgt_c)) supplies one unit
     phase factor per frequency, applied to every target channel; bins whose
-    cross modulus falls below 1e-12 of its mean keep the target untouched
-    (phase 1). Single-channel input degenerates to plain phase transfer.
-    The result is idempotent: projecting twice changes nothing.
+    cross modulus falls below 1e-12 of its full-spectrum mean keep the
+    target untouched (phase 1). Single-channel input degenerates to plain
+    phase transfer. The result is idempotent: projecting twice changes
+    nothing. Only the half spectrum is formed, and the phase of a mirror
+    bin is the conjugate, so the result is real.
     """
     data = _as_array(img)
     flat = data.ndim == 2
@@ -178,12 +199,13 @@ def spectrum_project(img, target: SpectrumTarget):
         data = data[:, :, None]
     if data.shape != target.shape:
         raise InputError(f"image shape {data.shape} != target shape {target.shape}")
-    fimg = np.fft.fft2(data, axes=(0, 1))
+    h, w = data.shape[:2]
+    fimg = np.fft.rfft2(data, axes=(0, 1))
     cross = np.sum(fimg * np.conj(target.freq), axis=2)
     mod = np.abs(cross)
-    thr = 1e-12 * mod.mean()
+    thr = 1e-12 * (np.sum(mod * _multiplicity(w)) / (h * w))
     phase = np.where(mod <= thr, 1.0 + 0.0j, cross / np.where(mod > 0, mod, 1.0))
-    proj = np.real(np.fft.ifft2(phase[:, :, None] * target.freq, axes=(0, 1)))
+    proj = np.fft.irfft2(phase[:, :, None] * target.freq, s=(h, w), axes=(0, 1))
     if flat:
         proj = proj[:, :, 0]
     return Image(proj) if isinstance(img, Image) else proj
@@ -203,7 +225,7 @@ def spectrum_loss(img, target: SpectrumTarget):
 
 
 def autocorr_target(feats: dict[str, np.ndarray], weights) -> FeatureTarget:
-    """Autocorrelation per feature channel as |fft2|^2 / N^2, layer-keyed."""
+    """Autocorrelation per feature channel as sqrt(m) |rfft2|^2 / N^2, layer-keyed."""
     return FeatureTarget({name: _autocorr(f)[0] for name, f in feats.items()}, weights)
 
 

@@ -841,6 +841,36 @@ def test_an_output_in_a_missing_directory_exits_2_before_any_read(tmp_path, caps
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("case", ["synth-out", "synth-session", "synth-curve", "eval-ds",
+                                  "eval-klw", "bt-fit", "project-spectrum"])
+def test_an_output_that_is_a_directory_exits_2_before_any_read(tmp_path, capsys,
+                                                               monkeypatch, case):
+    ex = save_rgb(tmp_path / "ex.ppm")
+    other = save_rgb(tmp_path / "a.ppm", phase=1.0)
+    duels = write_duels(tmp_path / "duels.csv", duel_rows())
+    out = str(tmp_path / "out.ppm")
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    argv = {  # the output that is a directory comes last
+        "synth-out": ["synth", "--exemplar", ex, "--out", str(outdir)],
+        "synth-session": ["synth", "--exemplar", ex, "--out", out, "--session", str(outdir)],
+        "synth-curve": ["synth", "--exemplar", ex, "--out", out, "--curve", str(outdir)],
+        "eval-ds": ["eval-ds", "--exemplar", ex, "--synth", other,
+                    "--disp-dir", str(tmp_path / "maps"), "--out", str(outdir)],
+        "eval-klw": ["eval-klw", "--ref", ex, "--synth", other, "--out", str(outdir)],
+        "bt-fit": ["bt-fit", "--duels", duels, "--out", str(outdir)],
+        "project-spectrum": ["project-spectrum", "--exemplar", ex, "--image", other,
+                             "--out", str(outdir)],
+    }[case]
+    before = sorted(tmp_path.iterdir())
+    forbid_reads(monkeypatch)
+    forbid_synthesis(monkeypatch)
+    assert main(argv) == 2
+    assert stderr_payload(capsys) == {"error": "CliError",
+                                      "message": f"{argv[-2]} {outdir} is a directory"}
+    assert sorted(tmp_path.iterdir()) == before and not any(outdir.iterdir())
+
+
 @pytest.mark.parametrize("case", ["is-a-file", "under-a-file"])
 def test_a_disp_dir_that_cannot_be_a_directory_exits_2_before_any_read(tmp_path, capsys,
                                                                        monkeypatch, case):

@@ -1,5 +1,11 @@
 """Hot kernels against direct-loop oracles."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +126,36 @@ class TestConv:
         g = rng.standard_normal((5, 5, 4))
         kern = rng.standard_normal((4, 2, 3, 3))
         assert np.allclose(conv3x3_back(g, kern), conv_back_oracle(g, kern), atol=1e-12)
+
+
+# every vgg-mini conv at a 256^2 input: (size, in channels, out channels)
+CONV_DIGESTS = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from texsynth._kernels import conv3x3, conv3x3_back
+
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    for size, ci, co in [(256, 3, 16), (256, 16, 16), (128, 16, 32), (64, 32, 64)]:
+        x = rng.standard_normal((size, size, ci))
+        kern = rng.standard_normal((co, ci, 3, 3))
+        digest.update(conv3x3(x, kern, rng.standard_normal(co)).tobytes())
+        digest.update(conv3x3_back(rng.standard_normal((size, size, co)), kern).tobytes())
+    print(digest.hexdigest())
+""")
+
+
+def test_conv_outputs_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = [
+        subprocess.run([sys.executable, "-c", CONV_DIGESTS], capture_output=True, text=True,
+                       check=True, timeout=120,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+                       ).stdout
+        for threads in ("1", "2")
+    ]
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
 
 
 class TestDisplacement:

@@ -137,10 +137,11 @@ class TestSpectrum:
 
     def test_projection_preserves_target_modulus(self):
         rng = np.random.default_rng(7)
-        target = spectrum_target(rng.random((6, 7, 3)))
+        exemplar = rng.random((6, 7, 3))
+        target = spectrum_target(exemplar)
         proj = spectrum_project(rng.random((6, 7, 3)), target)
         got = np.abs(np.fft.fft2(proj, axes=(0, 1)))
-        want = np.abs(target.freq)
+        want = np.abs(np.fft.fft2(exemplar, axes=(0, 1)))
         assert np.abs(got - want).max() < 1e-9
 
     def test_value_agrees_with_fourier_side_evaluation(self):
@@ -221,6 +222,104 @@ class TestAutocorr:
         _, cots = autocorr_loss({"l": f}, target)
         num = fd_grad(lambda: autocorr_loss({"l": f}, target)[0], f)
         assert np.abs(cots["l"] - num).max() < 1e-6 * max(1.0, np.abs(num).max())
+
+
+def full_autocorr(f):
+    """The full-spectrum statistic the half-spectrum one replaced:
+    |fft2 f|^2 / N^2, and its adjoint (diff, w) -> (4 w / N) Re ifft2(diff * fft2 f)."""
+    n = f.shape[0] * f.shape[1]
+    fhat = np.fft.fft2(f, axes=(0, 1))
+
+    def adjoint(diff, w):
+        return (4.0 * w / n) * np.real(np.fft.ifft2(diff * fhat, axes=(0, 1)))
+
+    return np.abs(fhat) ** 2 / n**2, adjoint
+
+
+def full_autocorr_loss(f, g, w):
+    """Value and cotangent of the autocorr term for feature f and exemplar
+    feature g, summed over the full spectrum."""
+    diff, adjoint = full_autocorr(f)
+    diff -= full_autocorr(g)[0]
+    return w * np.sum(diff**2), adjoint(diff, w)
+
+
+def full_spectrum_project(data, exemplar):
+    """The full-spectrum projection the half-spectrum one replaced, and the
+    number of bins whose cross modulus is under the threshold."""
+    freq = np.fft.fft2(exemplar, axes=(0, 1))
+    fimg = np.fft.fft2(data, axes=(0, 1))
+    cross = np.sum(fimg * np.conj(freq), axis=2)
+    mod = np.abs(cross)
+    thr = 1e-12 * mod.mean()
+    phase = np.where(mod <= thr, 1.0 + 0.0j, cross / np.where(mod > 0, mod, 1.0))
+    return np.real(np.fft.ifft2(phase[:, :, None] * freq, axes=(0, 1))), np.sum(mod <= thr)
+
+
+def full_spectrum_loss(data, exemplar):
+    proj = full_spectrum_project(data, exemplar)[0]
+    n = data.shape[0] * data.shape[1]
+    resid = data - proj
+    return float(np.sum(resid**2) / (2 * n)), resid / n
+
+
+def rel_err(got, want):
+    return np.abs(np.asarray(got) - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+HALF_SPECTRUM_SHAPES = [(h, w, c) for h in range(1, 8) for w in range(1, 8) for c in (1, 3)]
+
+
+class TestHalfSpectraAgainstFullSpectra:
+    """The half-spectrum terms against the full-spectrum code they replaced."""
+
+    @pytest.mark.parametrize("shape", HALF_SPECTRUM_SHAPES, ids=str)
+    def test_autocorr_value_and_gradient(self, shape):
+        rng = np.random.default_rng(shape)
+        f, g = rng.standard_normal(shape), rng.standard_normal(shape)
+        value, cots = autocorr_loss({"l": f}, autocorr_target({"l": g}, 1.7))
+        want_value, want_cot = full_autocorr_loss(f, g, 1.7)
+        assert rel_err(value, want_value) <= 1e-13
+        assert rel_err(cots["l"], want_cot) <= 1e-13
+
+    @pytest.mark.parametrize("shape", HALF_SPECTRUM_SHAPES, ids=str)
+    def test_spectrum_projection_value_and_gradient(self, shape):
+        rng = np.random.default_rng(shape)
+        exemplar, img = rng.random(shape), rng.random(shape)
+        self.check_spectrum(img, exemplar)
+
+    @pytest.mark.parametrize("case", ["constant-image", "constant-exemplar", "zero-image",
+                                      "constant-row", "one-plane-wave"])
+    @pytest.mark.parametrize("shape", [(1, 6, 3), (4, 4, 1), (5, 7, 3), (6, 4, 3)], ids=str)
+    def test_spectrum_bins_under_the_threshold(self, case, shape):
+        # every cross-spectrum bin but a few is zero, or rounding-level
+        rng = np.random.default_rng(30)
+        exemplar, img = rng.random(shape), rng.random(shape)
+        if case == "constant-image":
+            img = np.full(shape, 0.3)
+        elif case == "constant-exemplar":
+            exemplar = np.full(shape, 0.6)
+        elif case == "zero-image":
+            img = np.zeros(shape)
+        elif case == "constant-row":
+            img, exemplar = np.full((1,) + shape[1:], 0.3), exemplar[:1]
+        else:
+            y, x = np.mgrid[: shape[0], : shape[1]]
+            wave = 0.5 + 0.4 * np.cos(2 * np.pi * (y / shape[0] + x / shape[1]))
+            img = np.repeat(wave[:, :, None], shape[2], axis=2)
+        assert self.check_spectrum(img, exemplar) > 0
+
+    @staticmethod
+    def check_spectrum(img, exemplar):
+        """Compare with the full-spectrum code; the reference's bins under the threshold."""
+        target = spectrum_target(exemplar)
+        want_proj, under = full_spectrum_project(img, exemplar)
+        assert rel_err(spectrum_project(img, target), want_proj) <= 1e-13
+        value, grad = spectrum_loss(img, target)
+        want_value, want_grad = full_spectrum_loss(img, exemplar)
+        assert rel_err(value, want_value) <= 1e-13
+        assert rel_err(grad, want_grad) <= 1e-13
+        return under
 
 
 class TestTargetsAndTotal:

@@ -6,6 +6,16 @@ The taps are copied to one contiguous (3, 3, ci, co) block first, so each
 tap is a unit-stride matrix and each product is one BLAS GEMM; a strided
 tap view would send numpy's matmul to its own naive loop.
 
+The image is walked in bands of output rows, each band's output within
+a fixed byte budget (`_CONV_BAND_BYTES`, 256 KiB), so that the band's
+zero-padded input rows, its output and one reused product buffer stay in
+cache across the nine taps. A full-size product per tap, and a full
+padded copy of the input, would each go to memory and back. Banding
+keeps the bits: each image row's tap product is still its own
+(w x ci)(ci x co) GEMM on the same operands, and each output element is
+still the bias (0.0 in the adjoint) plus the nine products, added in
+raster tap order. So the output does not depend on the band size.
+
 The patch search finds, for every synthesis window a, the exemplar window b
 of least SSD |a - b|^2. Candidates come from |a|^2 + |b|^2 - 2 a.b, with
 a.b from one GEMM per block of synthesis rows; a block's temporaries stay
@@ -27,31 +37,49 @@ import numpy as np
 from .imagecore import InputError
 
 
-def _nine_shifts(x: np.ndarray, taps: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out += sum over (u, v) in raster order of shift (u, v) of the
-    zero-padded x times taps[u, v]."""
-    h, w, _ = x.shape
-    xp = np.zeros((h + 2, w + 2, x.shape[2]))
-    xp[1:-1, 1:-1] = x
-    for u in range(3):
-        for v in range(3):
-            out += xp[u : u + h, v : v + w] @ taps[u, v]
+# Byte budget for one band of a conv's output rows, 8 * w * co bytes a row.
+_CONV_BAND_BYTES = 256 << 10
+
+
+def _nine_shifts(x: np.ndarray, taps: np.ndarray, init: np.ndarray | float) -> np.ndarray:
+    """init + sum over (u, v) in raster order of shift (u, v) of the
+    zero-padded x times taps[u, v], one band of rows at a time."""
+    h, w, ci = x.shape
+    co = taps.shape[3]
+    rows = max(1, min(h, _CONV_BAND_BYTES // (8 * w * co)))
+    xb = np.zeros((rows + 2, w + 2, ci))  # columns 0 and w + 1 stay zero
+    prod = np.empty((rows, w, co))
+    # out after the band buffers: the other order left the heap 9 MB
+    # larger at the peak of a 256^2 loss evaluation
+    out = np.empty((h, w, co))
+    for lo in range(0, h, rows):
+        n = min(rows, h - lo)
+        # xb row r holds x row lo - 1 + r, or zeros beyond the image; row 0
+        # is only beyond it in the first band, while xb is still all zeros
+        first, last = max(lo - 1, 0), min(lo + n + 1, h)
+        top = first - lo + 1
+        xb[top : top + last - first, 1:-1] = x[first:last]
+        xb[top + last - first : n + 2] = 0.0
+        o, p = out[lo : lo + n], prod[:n]
+        o[...] = init
+        for u in range(3):
+            for v in range(3):
+                np.matmul(xb[u : u + n, v : v + w], taps[u, v], out=p)
+                o += p
     return out
 
 
 def conv3x3(x: np.ndarray, kern: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Zero-padded 3x3 convolution, x (h,w,ci), kern (co,ci,3,3) -> (h,w,co)."""
-    out = np.broadcast_to(bias, x.shape[:2] + bias.shape).copy()
     # taps[u, v] = kern[:, :, u, v].T
-    return _nine_shifts(x, np.ascontiguousarray(kern.transpose(2, 3, 1, 0)), out)
+    return _nine_shifts(x, np.ascontiguousarray(kern.transpose(2, 3, 1, 0)), bias)
 
 
 def conv3x3_back(g: np.ndarray, kern: np.ndarray) -> np.ndarray:
     """Adjoint of conv3x3 w.r.t. its input, g (h,w,co) -> (h,w,ci)."""
-    out = np.zeros(g.shape[:2] + (kern.shape[1],))
     # taps[u, v] = kern[:, :, 2 - u, 2 - v]
     return _nine_shifts(g, np.ascontiguousarray(kern[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)),
-                        out)
+                        0.0)
 
 
 # Byte budget for the temporaries of one search block: the (rows, windows)

@@ -51,6 +51,29 @@ def conv_back_oracle(g, kern):
     return out
 
 
+def single_pass_conv(x, kern, bias):
+    """The unbanded conv3x3: nine full-size shifted products of one padded copy."""
+    out = np.broadcast_to(bias, x.shape[:2] + bias.shape).copy()
+    return single_pass_shifts(x, np.ascontiguousarray(kern.transpose(2, 3, 1, 0)), out)
+
+
+def single_pass_conv_back(g, kern):
+    """The unbanded conv3x3_back."""
+    out = np.zeros(g.shape[:2] + (kern.shape[1],))
+    return single_pass_shifts(
+        g, np.ascontiguousarray(kern[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)), out)
+
+
+def single_pass_shifts(x, taps, out):
+    h, w, _ = x.shape
+    xp = np.zeros((h + 2, w + 2, x.shape[2]))
+    xp[1:-1, 1:-1] = x
+    for u in range(3):
+        for v in range(3):
+            out += xp[u : u + h, v : v + w] @ taps[u, v]
+    return out
+
+
 def displacement_oracle(synth, exemplar, patch):
     """Exhaustive SSD argmin, ties to the smallest (dy, dx).
 
@@ -126,6 +149,28 @@ class TestConv:
         g = rng.standard_normal((5, 5, 4))
         kern = rng.standard_normal((4, 2, 3, 3))
         assert np.allclose(conv3x3_back(g, kern), conv_back_oracle(g, kern), atol=1e-12)
+
+    @pytest.mark.parametrize("ci,co", [(1, 1), (3, 16), (16, 3)])
+    @pytest.mark.parametrize("h", [1, 2, 5, 8])
+    @pytest.mark.parametrize("w", [1, 2, 5, 8])
+    def test_every_band_size_gives_the_single_pass_bytes(self, monkeypatch, h, w, ci, co):
+        rng = np.random.default_rng(h * 1000 + w * 100 + ci * 10 + co)
+        x = rng.standard_normal((h, w, ci))
+        kern = rng.standard_normal((co, ci, 3, 3))
+        bias = rng.standard_normal(co)
+        g = rng.standard_normal((h, w, co))
+        # zero cotangent rows give adjoint rows of exact zeros, whose sign
+        # the byte comparison checks too
+        g[: h // 2] = 0.0
+        want = single_pass_conv(x, kern, bias).tobytes()
+        want_back = single_pass_conv_back(g, kern).tobytes()
+        for rows in sorted({1, 2, 3, h - 1, h, h + 3} - {0}):
+            # the budget is in bytes of output rows: 8 * w * co (forward)
+            # and 8 * w * ci (adjoint) a row
+            monkeypatch.setattr(_kernels, "_CONV_BAND_BYTES", rows * 8 * w * co)
+            assert conv3x3(x, kern, bias).tobytes() == want, rows
+            monkeypatch.setattr(_kernels, "_CONV_BAND_BYTES", rows * 8 * w * ci)
+            assert conv3x3_back(g, kern).tobytes() == want_back, rows
 
 
 # every vgg-mini conv at a 256^2 input: (size, in channels, out channels)

@@ -12,7 +12,9 @@ per-method mean winning probabilities with delta-method uncertainties.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -49,17 +51,19 @@ class DuelDataset:
 
     @classmethod
     def from_records(cls, records) -> "DuelDataset":
-        """Build from (method_a, method_b, winner) triples; methods sorted."""
+        """Build from (method_a, method_b, winner) triples, or a mapping from
+        such triples to their counts; methods sorted. Each distinct triple is
+        checked and counted once, in the order it first appears."""
         counts: dict[tuple[str, str], float] = {}
         names: set[str] = set()
-        for a, b, winner in records:
+        for (a, b, winner), k in Counter(records).items():
             if a == b:
                 raise InputError(f"self-duel for method {a!r}")
             if winner not in (a, b):
                 raise InputError(f"winner {winner!r} is neither {a!r} nor {b!r}")
             names.update((a, b))
             loser = b if winner == a else a
-            counts[(winner, loser)] = counts.get((winner, loser), 0.0) + 1.0
+            counts[(winner, loser)] = counts.get((winner, loser), 0.0) + k
         methods = tuple(sorted(names))
         index = {m: i for i, m in enumerate(methods)}
         wins = np.zeros((len(methods), len(methods)))
@@ -80,30 +84,48 @@ class BTFit:
         return np.sqrt(np.maximum(var[:, None] + var[None, :] - 2.0 * self.cov, 0.0))
 
 
+def csv_table(fh, names, what):
+    """The column index of each of `names` in an open CSV file's header, and
+    an iterator over the rows after it.
+
+    The header must name each of `names` exactly once. Blank lines are
+    skipped and fields past the header's are left to the caller to ignore;
+    a row with fewer fields than the header raises InputError naming its
+    line. `what` starts each message, e.g. "d.csv: duel CSV".
+    """
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None or any(header.count(name) != 1 for name in names):
+        raise InputError(f"{what} must name each of the columns {list(names)} once, "
+                         f"got {header}")
+
+    def rows():
+        for row in reader:
+            if len(row) >= len(header):
+                yield row
+            elif row:
+                raise InputError(f"{what} line {reader.line_num} has {len(row)} fields, "
+                                 f"fewer than the header's {len(header)}")
+
+    return [header.index(name) for name in names], rows()
+
+
 def load_duels(path, scale=None, image_ids=None) -> DuelDataset:
     """Read a duel CSV with columns method_a, method_b, winner, image_id, scale.
 
-    Optional filters keep only rows with the given scale value or whose
-    image_id is in `image_ids`.
+    Row rules are those of csv_table. Optional filters keep only rows with
+    the given scale value or whose image_id is in `image_ids`.
     """
-    records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"method_a", "method_b", "winner", "image_id", "scale"}
-        if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-            raise InputError(
-                f"duel CSV must have columns {sorted(needed)}, "
-                f"got {reader.fieldnames}"
-            )
-        for row in reader:
-            if scale is not None and row["scale"] != scale:
-                continue
-            if image_ids is not None and row["image_id"] not in image_ids:
-                continue
-            records.append((row["method_a"], row["method_b"], row["winner"]))
-    if not records:
+        (a, b, winner, image_id, scale_col), rows = csv_table(
+            fh, ("method_a", "method_b", "winner", "image_id", "scale"), f"{path}: duel CSV")
+        triple = itemgetter(a, b, winner)
+        counts = Counter(triple(row) for row in rows
+                         if (scale is None or row[scale_col] == scale)
+                         and (image_ids is None or row[image_id] in image_ids))
+    if not counts:
         raise InputError("no duels left after filtering")
-    return DuelDataset.from_records(records)
+    return DuelDataset.from_records(counts)
 
 
 def _reachable(adj: np.ndarray) -> np.ndarray:

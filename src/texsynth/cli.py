@@ -387,13 +387,14 @@ def cmd_eval_klw(args) -> int:
     methods = _method_names(args.synth)
     _check_outputs([("--ref", args.ref)] + [("--synth", p) for p in args.synth],
                    [("--out", _text_file(args.out))])
-    ref = read_image(args.ref)
+    ref_details = ggd.wavelet_details(read_image(args.ref), args.scales)  # one for all synths
     image_id = args.image_id or Path(args.ref).stem
 
     rows = []
     for method, path in zip(methods, args.synth):  # every image scored before any write
-        _, aggregate = ggd.texture_distance_klw(read_image(path), ref, scales=args.scales,
-                                                names=(path, args.ref))
+        _, aggregate = ggd.details_distance_klw(
+            ggd.wavelet_details(read_image(path), args.scales), ref_details,
+            names=(path, args.ref))
         rows.append([image_id, method, "klw", repr(ggd.log_score(aggregate))])
         rows.append([image_id, method, "klw_sum", repr(aggregate)])
     _metric_rows(args.out, rows)
@@ -419,11 +420,18 @@ def _parse_filters(pairs) -> dict:
 
 
 def _load_classes(path) -> dict[str, str]:
+    """image_id -> class, under the row rules of bradley_terry.csv_table; an
+    image_id listed with two classes exits 2."""
+    classes: dict[str, str] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"image_id", "class"} <= set(reader.fieldnames):
-            raise CliError(f"{path}: classes CSV needs columns image_id,class")
-        return {row["image_id"]: row["class"] for row in reader}
+        (image_id, cls), rows = bradley_terry.csv_table(fh, ("image_id", "class"),
+                                                        f"{path}: classes CSV")
+        for row in rows:
+            known = classes.setdefault(row[image_id], row[cls])
+            if known != row[cls]:
+                raise CliError(f"{path}: image_id {row[image_id]!r} is listed as both "
+                               f"{known!r} and {row[cls]!r}")
+    return classes
 
 
 def cmd_bt_fit(args) -> int:

@@ -104,10 +104,17 @@ def texture_distance_klw(a, b, scales: int = 8, names=("a", "b")):
     raises DegenerateSample naming its image by `names`. Returns
     ([(scale, orientation, kl), ...], aggregate).
     """
-    ga = _to_gray(a)
-    gb = _to_gray(b)
-    _, details_a = wavelets.dwt2_daub4(ga, scales)
-    _, details_b = wavelets.dwt2_daub4(gb, scales)
+    return details_distance_klw(wavelet_details(a, scales), wavelet_details(b, scales), names)
+
+
+def wavelet_details(img, scales: int = 8):
+    """The detail bands of `img`, averaged to one channel, by dwt2_daub4."""
+    return wavelets.dwt2_daub4(_to_gray(img), scales)[1]
+
+
+def details_distance_klw(details_a, details_b, names=("a", "b")):
+    """texture_distance_klw of two images given by their wavelet_details,
+    so that one image's decomposition can be scored against many."""
     per_subband = []
     total = 0.0
     for s, (bands_a, bands_b) in enumerate(zip(details_a, details_b), start=1):

@@ -40,9 +40,13 @@ def _as_gray2d(img) -> np.ndarray:
 def _analyze_axis0(x: np.ndarray):
     n = x.shape[0]
     idx = (2 * np.arange(n // 2)[:, None] + np.arange(4)[None, :]) % n
-    taps = x[idx]  # (n/2, 4, ...)
-    lo = np.tensordot(taps, LOWPASS, axes=([1], [0]))
-    hi = np.tensordot(taps, HIGHPASS, axes=([1], [0]))
+    taps = np.moveaxis(x[idx], 1, -1)  # (n/2, ..., 4)
+    # the matrix and np.dot call that tensordot over the tap axis makes, built
+    # once for both filters; its layout matters to the last bit: at n = 2 the
+    # reshape is a transposed view, which BLAS sums in another order
+    mat = taps.reshape(-1, 4)
+    lo = np.dot(mat, LOWPASS.reshape(4, 1)).reshape(taps.shape[:-1])
+    hi = np.dot(mat, HIGHPASS.reshape(4, 1)).reshape(taps.shape[:-1])
     return lo, hi
 
 

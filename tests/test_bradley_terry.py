@@ -1,5 +1,7 @@
 """Duel bookkeeping and the strength model."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,141 @@ class TestCsv:
         self.write(path, [("a", "b", "a", "img1", "global")])
         with pytest.raises(ValueError, match="no duels left"):
             load_duels(path, scale="local")
+
+    def test_a_short_row_is_rejected_naming_its_line(self, tmp_path):
+        path = tmp_path / "duels.csv"
+        self.write(path, [("a", "b", "a", "img1", "global"), ("a", "b"),
+                          ("b", "a", "a", "img1", "global")])
+        for scale in (None, "global"):  # filtered or not, the row is bad
+            with pytest.raises(ValueError, match="line 3 has 2 fields"):
+                load_duels(path, scale=scale)
+
+    @pytest.mark.parametrize("column", ["winner", "scale"])
+    def test_a_required_column_named_twice_is_rejected(self, tmp_path, column):
+        path = tmp_path / "duels.csv"
+        path.write_text(f"method_a,method_b,winner,image_id,scale,{column}\n"
+                        "a,b,a,img1,global,b\n")
+        with pytest.raises(ValueError, match="once"):
+            load_duels(path)
+
+    def test_blank_lines_and_extra_fields_are_ignored(self, tmp_path):
+        path = tmp_path / "duels.csv"
+        path.write_text("method_a,method_b,winner,image_id,scale,note\n\n"
+                        "a,b,a,img1,global,x,y\n\nb,a,b,img1,global,z\n\n")
+        data = load_duels(path)
+        assert data.methods == ("a", "b")
+        assert data.wins.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_a_count_mapping_equals_its_records(self):
+        records = [("a", "b", "a"), ("b", "c", "c"), ("a", "b", "a"), ("c", "a", "a")]
+        counts = {("a", "b", "a"): 2, ("b", "c", "c"): 1, ("c", "a", "a"): 1}
+        for data in (DuelDataset.from_records(counts), DuelDataset.from_records(records)):
+            assert data.methods == ("a", "b", "c")
+            assert data.wins.tolist() == [[0, 2, 1], [0, 0, 0], [0, 1, 0]]
+
+
+def load_duels_dictreader(path, scale=None, image_ids=None):
+    """The loader as it was before the one-pass reader, kept as the oracle:
+    a DictReader row at a time, then one record at a time. Returns
+    (methods, wins) or raises InputError."""
+    from texsynth.imagecore import InputError
+
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        needed = {"method_a", "method_b", "winner", "image_id", "scale"}
+        if reader.fieldnames is None or not needed <= set(reader.fieldnames):
+            raise InputError("columns")
+        for row in reader:
+            if scale is not None and row["scale"] != scale:
+                continue
+            if image_ids is not None and row["image_id"] not in image_ids:
+                continue
+            records.append((row["method_a"], row["method_b"], row["winner"]))
+    if not records:
+        raise InputError("no duels left after filtering")
+    counts, names = {}, set()
+    for a, b, winner in records:
+        if a == b:
+            raise InputError(f"self-duel for method {a!r}")
+        if winner not in (a, b):
+            raise InputError(f"winner {winner!r} is neither {a!r} nor {b!r}")
+        names.update((a, b))
+        loser = b if winner == a else a
+        counts[(winner, loser)] = counts.get((winner, loser), 0.0) + 1.0
+    methods = tuple(sorted(names))
+    index = {m: i for i, m in enumerate(methods)}
+    wins = np.zeros((len(methods), len(methods)))
+    for (wi, lo), k in counts.items():
+        wins[index[wi], index[lo]] = k
+    return methods, wins
+
+
+def random_duels(rng, n_rows, n_methods=6, bad=()):
+    """Rows of a duel CSV; `bad` maps row index -> "self" or "winner"."""
+    names = [f"m{k}" for k in range(n_methods)]
+    rows = []
+    for r in range(n_rows):
+        a, b = rng.choice(n_methods, size=2, replace=False)
+        winner = names[a] if rng.random() < 0.5 else names[b]
+        row = [names[a], names[b], winner, f"img{rng.integers(5)}",
+               "global" if rng.random() < 0.5 else "local"]
+        if r in bad:  # kept by the scale=global filter
+            row[:3] = [names[a]] * 3 if bad[r] == "self" else [names[a], names[b], "nobody"]
+            row[4] = "global"
+        rows.append(row)
+    return rows
+
+
+def write_csv(path, rows, header=("method_a", "method_b", "winner", "image_id", "scale")):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+class TestLoaderOracle:
+    """load_duels against the DictReader loader it replaced."""
+
+    FILTERS = [{}, {"scale": "global"}, {"image_ids": {"img1", "img3"}},
+               {"scale": "local", "image_ids": {"img0", "img2", "img4"}}]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("filters", FILTERS, ids=["none", "scale", "ids", "both"])
+    def test_methods_and_wins_are_equal(self, tmp_path, seed, filters):
+        rng = np.random.default_rng(seed)
+        path = write_csv(tmp_path / "d.csv", random_duels(rng, int(rng.integers(1, 400)),
+                                                          n_methods=int(rng.integers(2, 9))))
+        try:
+            methods, wins = load_duels_dictreader(path, **filters)
+        except ValueError as exc:  # every row filtered out
+            with pytest.raises(ValueError, match=str(exc)):
+                load_duels(path, **filters)
+            return
+        data = load_duels(path, **filters)
+        assert data.methods == methods
+        assert data.wins.dtype == wins.dtype and np.array_equal(data.wins, wins)
+
+    def test_reordered_and_extra_columns_are_equal(self, tmp_path):
+        rng = np.random.default_rng(7)
+        rows = [[r[4], "x", r[2], r[0], r[3], r[1]] for r in random_duels(rng, 300)]
+        header = ("scale", "note", "winner", "method_a", "image_id", "method_b")
+        path = write_csv(tmp_path / "d.csv", rows, header)
+        for filters in self.FILTERS:
+            methods, wins = load_duels_dictreader(path, **filters)
+            data = load_duels(path, **filters)
+            assert data.methods == methods and np.array_equal(data.wins, wins)
+
+    @pytest.mark.parametrize("bad", [{5: "self"}, {5: "winner"}, {5: "self", 9: "winner"},
+                                     {5: "winner", 9: "self"}, {40: "self", 41: "self"}],
+                             ids=["self", "winner", "self-first", "winner-first", "two-self"])
+    @pytest.mark.parametrize("filters", FILTERS[:2], ids=["none", "scale"])
+    def test_the_first_bad_record_gives_the_same_error(self, tmp_path, bad, filters):
+        rng = np.random.default_rng(11)
+        path = write_csv(tmp_path / "d.csv", random_duels(rng, 60, bad=bad))
+        with pytest.raises(ValueError) as expected:
+            load_duels_dictreader(path, **filters)
+        with pytest.raises(ValueError) as got:
+            load_duels(path, **filters)
+        assert str(got.value) == str(expected.value)

@@ -726,6 +726,47 @@ class TestEvalKlw:
         assert not (tmp_path / "m.csv").exists()
 
 
+    def test_three_synths_write_the_rows_of_three_single_calls(self, tmp_path):
+        # the reference is decomposed once per call; each row must not notice
+        rng = np.random.default_rng(5)
+        ref = tmp_path / "ref.ppm"
+        write_image(Image(rng.random((64, 64, 3))), ref, bits=16)
+        synths = []
+        for i in range(3):
+            synths.append(str(tmp_path / f"s{i}.pgm"))
+            write_image(Image(rng.random((64, 64)) ** (i + 1)), synths[-1], bits=16)
+        args = ["eval-klw", "--ref", str(ref), "--scales", "3", "--image-id", "t"]
+        assert main([*args, "--synth", *synths, "--out", str(tmp_path / "all.csv")]) == 0
+        header, *rows = (tmp_path / "all.csv").read_bytes().splitlines(keepends=True)
+        single = []
+        for i, path in enumerate(synths):
+            out = tmp_path / f"one{i}.csv"
+            assert main([*args, "--synth", path, "--out", str(out)]) == 0
+            one_header, *one_rows = out.read_bytes().splitlines(keepends=True)
+            assert one_header == header and len(one_rows) == 2
+            single += one_rows
+        assert rows == single
+
+    @pytest.mark.parametrize("flat", ["ref", "s1"])
+    def test_a_constant_subband_among_three_synths_exits_2_naming_it(self, tmp_path, capsys,
+                                                                      flat):
+        # a constant image has constant subbands: a flat ref fails the first
+        # pair, a flat s1 the second, after s0 has scored
+        rng = np.random.default_rng(6)
+        paths = {name: tmp_path / f"{name}.pgm" for name in ("ref", "s0", "s1", "s2")}
+        for name, path in paths.items():
+            data = np.full((64, 64), 0.5) if name == flat else rng.random((64, 64))
+            write_image(Image(data), path, bits=16)
+        rc = main(["eval-klw", "--ref", str(paths["ref"]), "--scales", "2",
+                   "--synth", *(str(paths[f"s{i}"]) for i in range(3)),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "DegenerateSample"
+        assert payload["message"].startswith(f"{paths[flat]}: wavelet subband ")
+        assert not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["eval-ds", "eval-klw"])
 def test_repeated_method_stems_exit_2_before_any_search(tmp_path, capsys, monkeypatch,
                                                         command):
@@ -741,7 +782,8 @@ def test_repeated_method_stems_exit_2_before_any_search(tmp_path, capsys, monkey
         raise AssertionError("a search ran")
 
     monkeypatch.setattr(cli.displacement, "displacement_map", fail)
-    monkeypatch.setattr(cli.ggd, "texture_distance_klw", fail)
+    monkeypatch.setattr(cli.ggd, "wavelet_details", fail)
+    monkeypatch.setattr(cli.ggd, "details_distance_klw", fail)
     if command == "eval-ds":
         args = ["--exemplar", ex, "--disp-dir", str(tmp_path / "maps")]
     else:
@@ -1009,6 +1051,47 @@ class TestBtFit:
         rc = main(["bt-fit", "--duels", str(path)])
         assert rc == 2
         assert "columns" in stderr_payload(capsys)["message"]
+
+    @pytest.mark.parametrize("filters", [[], ["--filter", "scale=global"]],
+                             ids=["unfiltered", "filtered"])
+    def test_a_short_duel_row_exits_2_naming_its_line(self, tmp_path, capsys, filters):
+        rows = [["a", "b", "a", "img1", "global"], ["a", "b"], ["b", "a", "b", "img1", "global"]]
+        duels = write_duels(tmp_path / "duels.csv", rows)
+        rc = main(["bt-fit", "--duels", duels, *filters])
+        assert rc == 2
+        assert f"{duels}: duel CSV line 3 has 2 fields" in stderr_payload(capsys)["message"]
+
+    def test_a_duel_column_named_twice_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "duels.csv"
+        path.write_text("method_a,method_b,winner,image_id,scale,winner\n"
+                        "a,b,a,img1,global,b\nb,a,a,img1,global,b\n")
+        rc = main(["bt-fit", "--duels", str(path)])
+        assert rc == 2
+        assert "once" in stderr_payload(capsys)["message"]
+
+    @pytest.mark.parametrize("lines, wanted", [
+        (["img1,regular", "img1,irregular"], "listed as both 'regular' and 'irregular'"),
+        (["img1,regular", "img2"], "line 3 has 1 fields"),
+        (["img1,regular,extra", "class,image_id"], "must name each of the columns"),
+    ], ids=["two-classes", "no-class", "class-named-twice"])
+    def test_a_bad_classes_row_exits_2(self, tmp_path, capsys, lines, wanted):
+        duels = write_duels(tmp_path / "duels.csv", duel_rows())
+        classes = tmp_path / "classes.csv"
+        header = "image_id,class,class" if wanted.startswith("must") else "image_id,class"
+        classes.write_text("\n".join([header, *lines]) + "\n")
+        rc = main(["bt-fit", "--duels", duels, "--classes", str(classes),
+                   "--filter", "image-class=irregular"])
+        assert rc == 2
+        assert wanted in stderr_payload(capsys)["message"]
+
+    def test_an_image_listed_twice_with_one_class_is_kept(self, tmp_path, capsys):
+        duels = write_duels(tmp_path / "duels.csv", duel_rows())
+        classes = tmp_path / "classes.csv"
+        classes.write_text("image_id,class\nimg1,regular\n\nimg1,regular,x\nimg2,irregular\n")
+        rc = main(["bt-fit", "--duels", duels, "--classes", str(classes),
+                   "--filter", "image-class=regular"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["n_duels"] == 15
 
     def test_over_filtering_exits_2(self, tmp_path, capsys):
         rows = [r for r in duel_rows() if r[4] == "global"]

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from texsynth import wavelets
 from texsynth.wavelets import (
     HIGHPASS,
     LOWPASS,
     WaveletScaleError,
+    _analyze_axis0,
     dwt2_daub4,
     idwt2_daub4,
 )
@@ -20,6 +22,16 @@ def analyze_rows(x, filt):
         for m in range(4):
             out[k] += filt[m] * x[(2 * k + m) % n]
     return out
+
+
+def analyze_axis0_tensordot(x):
+    """_analyze_axis0 as it was, one tensordot per filter: the bitwise oracle."""
+    n = x.shape[0]
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(4)[None, :]) % n
+    taps = x[idx]  # (n/2, 4, ...)
+    lo = np.tensordot(taps, LOWPASS, axes=([1], [0]))
+    hi = np.tensordot(taps, HIGHPASS, axes=([1], [0]))
+    return lo, hi
 
 
 def level_oracle(x):
@@ -58,6 +70,28 @@ class TestTransform:
         assert np.allclose(lh, olh, atol=1e-13)
         assert np.allclose(hl, ohl, atol=1e-13)
         assert np.allclose(hh, ohh, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 5), (4, 3), (16, 7), (64, 33), (256, 256),
+                                       (2, 3, 5), (8, 5, 3), (32, 9, 1), (6, 1, 7)])
+    def test_analysis_is_bit_for_bit_the_tensordot_oracle(self, shape):
+        rng = np.random.default_rng(len(shape) * 1000 + shape[0] + shape[1])
+        x = rng.standard_normal(shape)
+        # C order as at the first level; reversed axes, as the transposed
+        # bands of every later level come
+        flipped = rng.standard_normal(shape[::-1]).transpose(range(len(shape))[::-1])
+        for data in (x, flipped):
+            got, want = _analyze_axis0(data), analyze_axis0_tensordot(data)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_a_full_decomposition_is_bit_for_bit_the_oracle_one(self, monkeypatch):
+        x = np.random.default_rng(6).standard_normal((256, 128))
+        got = dwt2_daub4(x, scales=7)
+        monkeypatch.setattr(wavelets, "_analyze_axis0", analyze_axis0_tensordot)
+        want = dwt2_daub4(x, scales=7)
+        assert got[0].tobytes() == want[0].tobytes()
+        for bands, oracle_bands in zip(got[1], want[1]):
+            assert [b.tobytes() for b in bands] == [b.tobytes() for b in oracle_bands]
 
     def test_band_shapes_are_finest_first(self):
         x = np.random.default_rng(1).standard_normal((32, 32))

@@ -187,10 +187,10 @@ def _nll_hessian(totals: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.diag(w.sum(axis=1)) - w
 
 
-def bt_fit(data: DuelDataset, tol: float = 1e-10, max_iter: int = 200) -> BTFit:
+def bt_fit(data: DuelDataset) -> BTFit:
     """Sum-zero MLE of strengths by damped Newton.
 
-    Stops when the max-norm gradient falls below `tol`, or earlier when no
+    Stops when the max-norm gradient falls below 1e-10, or earlier when no
     halved Newton step raises the log-likelihood: there the likelihood is
     flat to double precision, with gradients typically 1e-5 to 1e-4.
     Raises DisconnectedGraph or SeparationDivergence, before any step, where
@@ -203,10 +203,10 @@ def bt_fit(data: DuelDataset, tol: float = 1e-10, max_iter: int = 200) -> BTFit:
     n = len(data.methods)
     beta = np.zeros(n)
     ll = _log_likelihood(beta, wins)
-    for _ in range(max_iter):
+    for _ in range(200):
         p = _win_prob(beta)
         grad = (wins - totals * p).sum(axis=1)
-        if np.max(np.abs(grad)) < tol:
+        if np.max(np.abs(grad)) < 1e-10:
             break
         step = np.linalg.pinv(_nll_hessian(totals, p)) @ grad
         t = 1.0
@@ -226,15 +226,15 @@ def bt_fit(data: DuelDataset, tol: float = 1e-10, max_iter: int = 200) -> BTFit:
     return BTFit(data.methods, beta, cov)
 
 
-def bt_significance(fit: BTFit, z: float = 1.96) -> np.ndarray:
+def bt_significance(fit: BTFit) -> np.ndarray:
     """Pairwise verdicts: +1 where i beats j significantly, -1 the reverse,
-    0 otherwise. |beta_i - beta_j| must exceed z standard errors."""
+    0 otherwise. |beta_i - beta_j| must exceed 1.96 standard errors."""
     diff = fit.beta[:, None] - fit.beta[None, :]
-    se = fit.pair_se()
+    bound = 1.96 * fit.pair_se()
     out = np.zeros(diff.shape, dtype=np.int8)
     with np.errstate(invalid="ignore"):
-        out[diff > z * se] = 1
-        out[diff < -z * se] = -1
+        out[diff > bound] = 1
+        out[diff < -bound] = -1
     np.fill_diagonal(out, 0)
     return out
 

@@ -9,6 +9,9 @@ options are the fields of RunConfig: each is a flag and a key of the JSON
 config file (strict schema; the key has `_` where the flag has `-`). A
 --config file presets them, and flags win. A --replay session sets them all,
 takes only the REPLAY_FLAGS paths, and writes the recorded bytes or exits 1.
+The merged options, variant and K included, are checked before the exemplar
+is read. Each bt-fit --filter key of FILTERS may be given once. eval-klw
+names the image whose size cannot take --scales.
 In every command, an output that is the same file as an input (--config and
 --replay included) or as another output, that is a directory, or whose
 directory does not exist, exits 2 before any input is read. So does an
@@ -28,7 +31,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -59,7 +61,8 @@ class RunConfig:
 
     The flag is `--` + the name with `_` as `-`. A field's default fixes
     its type; a field that defaults to None is a str path. Values no run
-    can use raise CliError.
+    can use raise CliError. `method_variant` is the variant parsed with
+    beta and K.
     """
 
     exemplar: str | None = _option(None, "input PPM/PGM exemplar")
@@ -93,6 +96,11 @@ class RunConfig:
         ):
             if not ok:
                 raise CliError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        try:  # variant and K are MethodVariant's to check, once, here
+            self.method_variant = synth.MethodVariant.parse(self.variant, beta=self.beta,
+                                                            K=self.K)
+        except InputError as exc:
+            raise CliError(str(exc)) from None
 
 
 def _option_type(f) -> type:
@@ -163,7 +171,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bt-fit", help="fit strengths to duel outcomes")
     p.add_argument("--duels", required=True, help="CSV: method_a,method_b,winner,image_id,scale")
     p.add_argument("--filter", action="append", default=[],
-                   help="scale=global|local or image-class=regular|irregular")
+                   help=" or ".join(f"{key}={'|'.join(values)}"
+                                    for key, values in FILTERS.items()) + ", each key once")
     p.add_argument("--classes", help="CSV image_id,class (needed by image-class filter)")
     p.add_argument("--out", default="-", help="result JSON path, - for stdout")
     p.set_defaults(func=cmd_bt_fit)
@@ -205,16 +214,6 @@ def _config_from_args(args) -> tuple[RunConfig, synth.SynthSession | None]:
     return RunConfig(**{**values, **flags}), recorded
 
 
-_FILE_PROVENANCE = re.compile(r"file\((.*), crc32=([0-9a-f]{8})\)", re.DOTALL)
-_RANDOM_PROVENANCE = re.compile(r"random\(seed=([0-9]+)\)")
-
-
-def _weights_crc32(provenance: str) -> str | None:
-    """The checksum in a weights file's provenance; None for random weights."""
-    match = _FILE_PROVENANCE.fullmatch(provenance)
-    return match and match.group(2)
-
-
 def _config_from_session(path) -> tuple[dict, synth.SynthSession]:
     """The config values a session recorded, and the session itself."""
     with open(path) as fh:
@@ -232,10 +231,11 @@ def _config_from_session(path) -> tuple[dict, synth.SynthSession]:
         if session.net is not None:
             values["pool"] = session.net["pool"]
             prov = session.net["provenance"]
-            if match := _RANDOM_PROVENANCE.fullmatch(prov):
-                values["net_seed"] = int(match.group(1))
-            elif match := _FILE_PROVENANCE.fullmatch(prov):
-                values["net_weights"] = match.group(1)
+            source = netmod.provenance_fields(prov)
+            if "seed" in source:
+                values["net_seed"] = source["seed"]
+            elif "path" in source:
+                values["net_weights"] = source["path"]
             else:
                 raise CliError(f"{path}: cannot replay net provenance {prov!r}")
     except KeyError as exc:
@@ -258,14 +258,14 @@ def cmd_synth(args) -> int:
     exemplar = read_image(cfg.exemplar)
     if recorded is not None and synth.exemplar_hash(exemplar) != recorded.exemplar.get("sha256"):
         raise CliError(f"exemplar at {cfg.exemplar} does not match the session hash")
-    variant = synth.MethodVariant.parse(cfg.variant, beta=cfg.beta, K=cfg.K)
     network = None
-    if set(variant.terms) & set(losses.FEATURE_TERMS):
+    if set(cfg.method_variant.terms) & set(losses.FEATURE_TERMS):
         if cfg.net_weights:
             weights = netmod.load_weights(os.path.abspath(cfg.net_weights))
+            crc32 = netmod.provenance_fields(weights.provenance)["crc32"]
             # by content, as the exemplar is: a copy at another path replays
-            if recorded is not None and (recorded.net is None or _weights_crc32(
-                    weights.provenance) != _weights_crc32(recorded.net["provenance"])):
+            if recorded is not None and (recorded.net is None or crc32 != netmod.provenance_fields(
+                    recorded.net["provenance"]).get("crc32")):
                 raise CliError(f"weights {weights.provenance} do not match the session's network")
             network = netmod.Network(weights.specs, weights, pool=cfg.pool)
             if network.in_channels != exemplar.c:
@@ -279,7 +279,7 @@ def cmd_synth(args) -> int:
     lbfgs = optim.LbfgsConfig(max_iter=cfg.iterations, history=cfg.history,
                               grad_tol=cfg.grad_tol)
     result, session = synth.synth_multiscale(
-        exemplar, variant, network, cfg.seed, lbfgs=lbfgs,
+        exemplar, cfg.method_variant, network, cfg.seed, lbfgs=lbfgs,
         layer_weight=cfg.layer_weight, exemplar_path=os.path.abspath(cfg.exemplar),
     )
     write_image(result, cfg.out, bits=cfg.bits)
@@ -387,13 +387,14 @@ def cmd_eval_klw(args) -> int:
     methods = _method_names(args.synth)
     _check_outputs([("--ref", args.ref)] + [("--synth", p) for p in args.synth],
                    [("--out", _text_file(args.out))])
-    ref_details = ggd.wavelet_details(read_image(args.ref), args.scales)  # one for all synths
+    # one decomposition of --ref, for all synths
+    ref_details = ggd.wavelet_details(read_image(args.ref), args.scales, args.ref)
     image_id = args.image_id or Path(args.ref).stem
 
     rows = []
     for method, path in zip(methods, args.synth):  # every image scored before any write
         _, aggregate = ggd.details_distance_klw(
-            ggd.wavelet_details(read_image(path), args.scales), ref_details,
+            ggd.wavelet_details(read_image(path), args.scales, path), ref_details,
             names=(path, args.ref))
         rows.append([image_id, method, "klw", repr(ggd.log_score(aggregate))])
         rows.append([image_id, method, "klw_sum", repr(aggregate)])
@@ -401,20 +402,23 @@ def cmd_eval_klw(args) -> int:
     return 0
 
 
+# each bt-fit --filter key and the values it takes
+FILTERS = {"scale": ("global", "local"), "image-class": ("regular", "irregular")}
+
+
 def _parse_filters(pairs) -> dict:
+    """The --filter key=value pairs as {key: value}; a key given twice exits 2."""
     out = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep:
             raise CliError(f"bad --filter {pair!r}, expected key=value")
-        if key == "scale":
-            if value not in ("global", "local"):
-                raise CliError("scale filter must be global or local")
-        elif key == "image-class":
-            if value not in ("regular", "irregular"):
-                raise CliError("image-class filter must be regular or irregular")
-        else:
+        if key not in FILTERS:
             raise CliError(f"unknown filter key {key!r}")
+        if value not in FILTERS[key]:
+            raise CliError(f"{key} filter must be {' or '.join(FILTERS[key])}")
+        if key in out:
+            raise CliError(f"--filter {key} is given twice, as {out[key]} and {value}")
         out[key] = value
     return out
 

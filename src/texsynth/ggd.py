@@ -100,16 +100,22 @@ def texture_distance_klw(a, b, scales: int = 8, names=("a", "b")):
     Inputs are averaged to one channel, decomposed with dwt2_daub4, and a
     GGD is fit per detail subband of each image; the per-subband
     KL(a-fit || b-fit) values are summed. Subbands with fewer than 32
-    coefficients are skipped in both images. A zero-variance subband
-    raises DegenerateSample naming its image by `names`. Returns
+    coefficients are skipped in both images. A size that cannot take
+    `scales` (WaveletScaleError) or a zero-variance subband
+    (DegenerateSample) raises naming its image by `names`. Returns
     ([(scale, orientation, kl), ...], aggregate).
     """
-    return details_distance_klw(wavelet_details(a, scales), wavelet_details(b, scales), names)
+    return details_distance_klw(wavelet_details(a, scales, names[0]),
+                                wavelet_details(b, scales, names[1]), names)
 
 
-def wavelet_details(img, scales: int = 8):
-    """The detail bands of `img`, averaged to one channel, by dwt2_daub4."""
-    return wavelets.dwt2_daub4(_to_gray(img), scales)[1]
+def wavelet_details(img, scales: int = 8, name="image"):
+    """The detail bands of `img`, averaged to one channel, by dwt2_daub4;
+    WaveletScaleError names the image by `name`."""
+    try:
+        return wavelets.dwt2_daub4(_to_gray(img), scales)[1]
+    except wavelets.WaveletScaleError as exc:
+        raise wavelets.WaveletScaleError(f"{name}: {exc}") from None
 
 
 def details_distance_klw(details_a, details_b, names=("a", "b")):

@@ -75,11 +75,11 @@ class StatTargets:
     spectrum: SpectrumTarget | None = None
     autocorr: FeatureTarget | None = None
     dropped_layers: list[str] = field(default_factory=list)
-    stats_layers: list[str] = field(init=False)
 
-    def __post_init__(self):
+    @property
+    def stats_layers(self) -> list[str]:
         names = [n for t in (self.gram, self.autocorr) if t is not None for n in t.stats]
-        object.__setattr__(self, "stats_layers", list(dict.fromkeys(names)))
+        return list(dict.fromkeys(names))
 
 
 @dataclass
@@ -282,13 +282,12 @@ def total_loss(img, cfg, targets: StatTargets, network=None) -> LossReport:
         if term in terms and getattr(targets, term) is None:
             raise ValueError(f"{term} term active but no {term} target")
     report_terms = {}
-    grad = np.zeros_like(data)
-    spectrum_distance = None
+    grad = spectrum_distance = None
 
     active = {term: getattr(targets, term) for term in FEATURE_TERMS if term in terms}
     if active:
         feats, pull = netmod.forward_with_pullback(network, data, targets.stats_layers)
-        cots = {name: np.zeros_like(f) for name, f in feats.items()}
+        cots = {}
         # looked up per call, so that rebinding a module-level name takes effect
         term_losses = {"gram": gram_loss, "autocorr": autocorr_loss}
         for term, target in active.items():
@@ -296,14 +295,13 @@ def total_loss(img, cfg, targets: StatTargets, network=None) -> LossReport:
             value, term_cots = term_losses[term](sub, target)
             report_terms[term] = value
             for name, c in term_cots.items():
-                cots[name] += c
-        grad += pull(cots)
+                cots[name] = cots[name] + c if name in cots else c
+        grad = pull(cots)
 
     if "spectrum" in terms:
-        value, sgrad = spectrum_loss(data, targets.spectrum)
-        spectrum_distance = value
-        report_terms["spectrum"] = beta * value
-        grad += beta * sgrad
+        spectrum_distance, sgrad = spectrum_loss(data, targets.spectrum)
+        report_terms["spectrum"] = beta * spectrum_distance
+        grad = beta * sgrad if grad is None else grad + beta * sgrad
 
     total = float(sum(report_terms.values()))
     return LossReport(total, report_terms, grad, spectrum_distance)

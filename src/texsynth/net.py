@@ -19,6 +19,7 @@ the pullback walks that tape in reverse.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
 _WEIGHTS_MAGIC = b"NTWF"
 _WEIGHTS_VERSION = 1
+_PROVENANCE = re.compile(r"random\(seed=([0-9]+)\)|file\((.*), crc32=([0-9a-f]{8})\)", re.DOTALL)
 
 
 class WeightsFormatError(InputError):
@@ -187,6 +189,14 @@ def load_weights(path) -> NetworkWeights:
     return NetworkWeights(
         tuple(specs), tensors, provenance=f"file({path}, crc32={crc:08x})"
     )
+
+
+def provenance_fields(provenance: str) -> dict:
+    """{"seed": int} from random_weights' provenance string, {"path", "crc32"}
+    from load_weights', {} from any other string."""
+    match = _PROVENANCE.fullmatch(provenance)
+    seed, path, crc32 = match.groups() if match else (None, None, None)
+    return {"seed": int(seed)} if seed else {"path": path, "crc32": crc32} if crc32 else {}
 
 
 class Network:

@@ -25,7 +25,7 @@ from .imagecore import Image, InputError, build_pyramid, serialize_pnm, upsample
 
 DEFAULT_K = 2
 
-_VARIANT_TOKENS = {"gram", "spectrum", "autocorr", "msinit"}
+_VARIANT_TOKENS = {*losses.TERM_NAMES, "msinit"}
 
 
 @dataclass(frozen=True)

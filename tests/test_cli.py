@@ -410,13 +410,16 @@ class TestSynth:
     SESSION_KEYS = {"iterations": ("lbfgs", "max_iter"), "history": ("lbfgs", "history"),
                     "grad_tol": ("lbfgs", "grad_tol"), "beta": (None, "beta"),
                     "layer_weight": (None, "layer_weight"), "bits": ("output", "bits"),
-                    "pool": ("net", "pool"), "seed": (None, "seed")}
+                    "pool": ("net", "pool"), "seed": (None, "seed"),
+                    "variant": (None, "variant"), "K": (None, "K")}
+    # how the message starts where it is not "<name> must be "
+    MESSAGE_STARTS = {"variant": "unknown variant tokens: ['bogus']"}
 
     @pytest.mark.parametrize("source", ["flag", "config", "session"])
     @pytest.mark.parametrize("name, value", [
         ("iterations", -3), ("history", -2), ("grad_tol", -1.0), ("grad_tol", math.nan),
         ("beta", math.nan), ("beta", math.inf), ("layer_weight", -math.inf),
-        ("bits", 12), ("pool", "min"), ("seed", -1),
+        ("bits", 12), ("pool", "min"), ("seed", -1), ("variant", "gram+bogus"), ("K", -1),
     ])
     def test_an_unusable_option_exits_2_before_the_exemplar_is_read(
             self, tmp_path, capsys, monkeypatch, source, name, value):
@@ -445,11 +448,11 @@ class TestSynth:
         assert main(argv) == 2
         payload = stderr_payload(capsys)
         assert payload["error"] == "CliError"
-        assert payload["message"].startswith(f"{name} must be ")
+        assert payload["message"].startswith(self.MESSAGE_STARTS.get(name, f"{name} must be "))
 
     @pytest.mark.parametrize("option", fields(RunConfig), ids=lambda f: f.name)
     def test_every_option_is_a_flag_and_a_config_key(self, tmp_path, capsys, option):
-        sample = {"bits": 8, "pool": "max"}.get(option.name)
+        sample = {"bits": 8, "pool": "max", "variant": "spectrum"}.get(option.name)
         if sample is None:
             default = option.default
             sample = "x" if default is None or isinstance(default, str) else default * 2 + 1
@@ -693,6 +696,25 @@ class TestEvalKlw:
         ])
         assert rc == 2
         assert stderr_payload(capsys)["error"] == "WaveletScaleError"
+
+    @pytest.mark.parametrize("bad", ["ref", "s1"])
+    def test_a_size_that_cannot_take_the_scales_exits_2_naming_the_file(
+            self, tmp_path, capsys, bad):
+        # 24x16 takes 3 scales, not 4; a bad s1 fails after s0 has scored
+        rng = np.random.default_rng(7)
+        paths = {name: tmp_path / f"{name}.pgm" for name in ("ref", "s0", "s1", "s2")}
+        for name, path in paths.items():
+            shape = (16, 24) if name == bad else (32, 32)
+            write_image(Image(rng.random(shape)), path, bits=16)
+        rc = main(["eval-klw", "--ref", str(paths["ref"]), "--scales", "4",
+                   "--synth", *(str(paths[f"s{i}"]) for i in range(3)),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "WaveletScaleError"
+        assert payload["message"] == (f"{paths[bad]}: 16x24 image cannot support 4 scales: "
+                                      "dims must be divisible by 2**4")
+        assert not (tmp_path / "m.csv").exists()
 
     def test_no_scipy_module_loads(self, tmp_path):
         # numpy is the only runtime dependency; a fresh interpreter shows what loads
@@ -1045,6 +1067,31 @@ class TestBtFit:
         assert rc == 2
         assert "global or local" in stderr_payload(capsys)["message"]
 
+    @pytest.mark.parametrize("key, first, second", [
+        ("scale", "global", "local"), ("scale", "local", "local"),
+        ("image-class", "irregular", "regular"),
+    ])
+    def test_a_filter_key_given_twice_exits_2_naming_both_values(self, tmp_path, capsys,
+                                                                  monkeypatch, key, first,
+                                                                  second):
+        # before, the last value won: scale=global scale=local fitted the local duels
+        duels = write_duels(tmp_path / "duels.csv", duel_rows())
+        classes = tmp_path / "classes.csv"
+        classes.write_text("image_id,class\nimg1,regular\nimg2,irregular\n")
+        forbid_reads(monkeypatch)
+        rc = main(["bt-fit", "--duels", duels, "--classes", str(classes),
+                   "--filter", f"{key}={first}", "--filter", f"{key}={second}"])
+        assert rc == 2
+        payload = stderr_payload(capsys)
+        assert payload["error"] == "CliError"
+        assert payload["message"] == f"--filter {key} is given twice, as {first} and {second}"
+
+    def test_the_filter_help_names_every_key_and_value(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bt-fit", "--help"])
+        assert ("scale=global|local or image-class=regular|irregular, each key once"
+                in " ".join(capsys.readouterr().out.split()))
+
     def test_missing_column_exits_2(self, tmp_path, capsys):
         path = tmp_path / "duels.csv"
         path.write_text("method_a,method_b,winner\na,b,a\n")
@@ -1253,6 +1300,13 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, case):
     capsys.readouterr()
     assert main(argv) == 2
     stderr_payload(capsys)
+
+
+def test_a_provenance_no_weights_writer_makes_exits_2_naming_it(tmp_path, capsys):
+    assert main(bad_input_argv(tmp_path, "non-integer-net-seed")) == 2
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "CliError"
+    assert payload["message"].endswith("cannot replay net provenance 'random(seed=x)'")
 
 
 @pytest.mark.parametrize("error", [ValueError("internal bug"), KeyError("layer")],

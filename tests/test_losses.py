@@ -24,7 +24,8 @@ from texsynth.losses import (
     StatTargets,
     total_loss,
 )
-from texsynth.net import LayerSpec, Network, forward as net_forward, random_weights
+from texsynth.net import (LayerSpec, Network, forward as net_forward, forward_with_pullback,
+                          random_weights)
 from texsynth.synth import MethodVariant
 
 
@@ -397,6 +398,51 @@ class TestTargetsAndTotal:
         grad = total_loss(x, variant, targets, net).grad
         num = fd_grad(value, x)
         assert np.abs(grad - num).max() / max(np.abs(num).max(), 1e-12) < 1e-6
+
+    @pytest.mark.parametrize("pool", ["avg", "max"])
+    @pytest.mark.parametrize("terms", [("gram",), ("spectrum",), ("autocorr",),
+                                       ("gram", "spectrum"), ("gram", "autocorr"),
+                                       ("spectrum", "autocorr"),
+                                       ("gram", "spectrum", "autocorr")])
+    def test_the_sum_has_the_bytes_of_a_zero_filled_sum(self, terms, pool):
+        # gram reads p1 only and autocorr c1 and p1, so one layer gets one
+        # term's cotangent and the other two; max pooling routes exact zeros
+        rng = np.random.default_rng(22)
+        base = tiny_net(seed=3)
+        net = Network(base.specs, base.weights, pool=pool)
+        ex = rng.random((8, 8, 3))
+        feats = net_forward(net, ex, ["c1", "p1"])
+        targets = StatTargets(gram=gram_target({"p1": feats["p1"]}, 3.0),
+                              spectrum=spectrum_target(ex),
+                              autocorr=autocorr_target(feats, 2.0))
+        variant = MethodVariant(terms, beta=5.0)
+        x = rng.random((8, 8, 3))
+        report = total_loss(x, variant, targets, net)
+        total, values, grad = zero_filled_total_loss(x, variant, targets, net)
+        assert (report.total, report.terms) == (total, values)
+        assert report.grad.tobytes() == grad.tobytes()
+
+
+def zero_filled_total_loss(x, cfg, targets, net):
+    """total_loss as it was summed before it added only what its terms
+    return: into zero-filled cotangents and a zero-filled gradient."""
+    values, grad = {}, np.zeros_like(x)
+    active = [term for term in ("gram", "autocorr") if term in cfg.terms]
+    if active:
+        feats, pull = forward_with_pullback(net, x, targets.stats_layers)
+        cots = {name: np.zeros_like(f) for name, f in feats.items()}
+        for term in active:
+            target = getattr(targets, term)
+            loss = {"gram": gram_loss, "autocorr": autocorr_loss}[term]
+            values[term], term_cots = loss({n: feats[n] for n in target.stats}, target)
+            for name, c in term_cots.items():
+                cots[name] += c
+        grad += pull(cots)
+    if "spectrum" in cfg.terms:
+        value, sgrad = spectrum_loss(x, targets.spectrum)
+        values["spectrum"] = cfg.beta * value
+        grad += cfg.beta * sgrad
+    return float(sum(values.values())), values, grad
 
 
 TRACED_LOSS = textwrap.dedent("""

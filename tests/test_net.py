@@ -15,6 +15,7 @@ from texsynth.net import (
     forward_with_pullback,
     load_weights,
     make_network,
+    provenance_fields,
     random_weights,
     save_weights,
     vgg_mini,
@@ -243,6 +244,21 @@ class TestWeights:
             assert np.array_equal(back.tensors[name][0], kern)
             assert np.array_equal(back.tensors[name][1], bias)
         assert "crc32=" in back.provenance
+
+    def test_provenance_fields_read_back_what_the_writers_wrote(self, tmp_path):
+        assert provenance_fields(random_weights(small_specs(), 17).provenance) == {"seed": 17}
+        # a path that itself looks like the end of a provenance string
+        path = tmp_path / "w, crc32=00000000).ntw"
+        save_weights(random_weights(small_specs(), 0), path)
+        crc32 = f"{zlib.crc32(path.read_bytes()[:-4]):08x}"
+        assert provenance_fields(load_weights(path).provenance) == {"path": str(path),
+                                                                    "crc32": crc32}
+
+    @pytest.mark.parametrize("text", ["random(seed=x)", "random(seed=-1)", "random(seed=)",
+                                      "file(w.ntw)", "file(w.ntw, crc32=1234abc)",
+                                      "file(w.ntw, crc32=1234ABCD)", "unspecified", ""])
+    def test_any_other_provenance_has_no_fields(self, text):
+        assert provenance_fields(text) == {}
 
     def test_flipped_byte_fails_checksum(self, tmp_path):
         w = random_weights(small_specs(), 0)

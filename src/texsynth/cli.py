@@ -9,14 +9,13 @@ options are the fields of RunConfig: each is a flag and a key of the JSON
 config file (strict schema; the key has `_` where the flag has `-`). A
 --config file presets them, and flags win. A --replay session sets them all,
 takes only the REPLAY_FLAGS paths, and writes the recorded bytes or exits 1.
-The merged options, variant and K included, are checked before the exemplar
-is read. Each bt-fit --filter key of FILTERS may be given once. eval-klw
-names the image whose size cannot take --scales.
-In every command, an output that is the same file as an input (--config and
---replay included) or as another output, that is a directory, or whose
-directory does not exist, exits 2 before any input is read. So does an
-eval-ds --disp-dir that is not a directory or would be made under a regular
-file; a missing one is created.
+Each bt-fit --filter key of FILTERS may be given once. eval-klw names the
+image whose size cannot take --scales. Before any read, every command checks
+each value by its name's RULES entry (and synth's variant and K) and each
+path by its INPUTS or OUTPUTS role: an output that is the same file as an
+input or as another output, that is a directory, or whose directory does
+not exist, exits 2. So does an eval-ds --disp-dir that is not a directory or
+would be made under a regular file; a missing one is created.
 `-` means stdout only as the --out of eval-ds, eval-klw and bt-fit; every
 other path `-` is a file. The eval commands score one image at a time, and
 BLAS threads (OPENBLAS_NUM_THREADS) are their only parallelism.
@@ -51,6 +50,29 @@ class ReplayMismatch(Exception):
     """A replay wrote other bytes than its session recorded; exits 1."""
 
 
+# the values each option may take, by its name in any command
+RULES = {
+    **dict.fromkeys(("seed", "net_seed", "iterations", "history", "grad_tol"),
+                    (">= 0", lambda v: v >= 0)),  # False for a NaN grad_tol
+    **dict.fromkeys(("beta", "layer_weight"), ("finite", math.isfinite)),
+    "bits": ("8 or 16", lambda v: v in (8, 16)),
+    "pool": ("avg or max", lambda v: v in ("avg", "max")),
+    "patch": ("odd and >= 1", lambda v: v >= 1 and v % 2 == 1),
+    "scales": (">= 1", lambda v: v >= 1),
+}
+# the path options each command reads and writes, in the order _check_options claims them
+INPUTS = ("exemplar", "ref", "synth", "image", "duels", "classes", "net_weights", "config",
+          "replay")
+OUTPUTS = ("out", "session", "curve")
+
+
+def check_rules(values: dict) -> None:
+    """Raise CliError for the first option in `values` that breaks its RULES entry."""
+    for name, (rule, ok) in RULES.items():
+        if name in values and not ok(values[name]):
+            raise CliError(f"{name} must be {rule}, got {values[name]!r}")
+
+
 def _option(default, help=None):
     return field(default=default, metadata={"help": help})
 
@@ -83,19 +105,7 @@ class RunConfig:
     bits: int = _option(16, "output sample depth")
 
     def __post_init__(self):
-        for name, ok, rule in (
-            ("seed", self.seed >= 0, ">= 0"),
-            ("net_seed", self.net_seed >= 0, ">= 0"),
-            ("iterations", self.iterations >= 0, ">= 0"),
-            ("history", self.history >= 0, ">= 0"),
-            ("grad_tol", self.grad_tol >= 0, ">= 0"),  # False for NaN
-            ("beta", math.isfinite(self.beta), "finite"),
-            ("layer_weight", math.isfinite(self.layer_weight), "finite"),
-            ("bits", self.bits in (8, 16), "8 or 16"),
-            ("pool", self.pool in ("avg", "max"), "avg or max"),
-        ):
-            if not ok:
-                raise CliError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_rules(vars(self))
         try:  # variant and K are MethodVariant's to check, once, here
             self.method_variant = synth.MethodVariant.parse(self.variant, beta=self.beta,
                                                             K=self.K)
@@ -132,11 +142,6 @@ def parse_run_config(obj: dict, where: str) -> dict:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures through the JSON path
         raise CliError(message)
-
-
-def _emit_error(exc) -> None:
-    payload = {"error": exc.__class__.__name__, "message": str(exc)}
-    print(json.dumps(payload), file=sys.stderr)
 
 
 def build_parser() -> _Parser:
@@ -181,7 +186,7 @@ def build_parser() -> _Parser:
     p.add_argument("--exemplar", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--bits", type=int, choices=(8, 16), default=16)
+    p.add_argument("--bits", type=int, default=16)
     p.set_defaults(func=cmd_project_spectrum)
 
     p = sub.add_parser("selftest", help="run the built-in oracle checks")
@@ -252,9 +257,7 @@ def cmd_synth(args) -> int:
     if not cfg.out:
         raise CliError("an output path is required (flag --out or config)")
     session_path = cfg.session or str(Path(cfg.out).with_suffix("")) + ".session.json"
-    _check_outputs([("--exemplar", cfg.exemplar), ("--net-weights", cfg.net_weights),
-                    ("--config", args.config), ("--replay", args.replay)],
-                   [("--out", cfg.out), ("--session", session_path), ("--curve", cfg.curve)])
+    _check_options({**vars(args), **vars(cfg), "session": session_path})
     exemplar = read_image(cfg.exemplar)
     if recorded is not None and synth.exemplar_hash(exemplar) != recorded.exemplar.get("sha256"):
         raise CliError(f"exemplar at {cfg.exemplar} does not match the session hash")
@@ -307,28 +310,33 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _check_outputs(inputs, outputs, new_dir=None) -> None:
-    """Reject an output (flag, path) that is a directory, an input's or
-    another output's file, or whose directory does not exist. Only
-    `new_dir`, which the command creates, may be missing, and then only
-    under a directory."""
-    made = new_dir and os.path.abspath(new_dir)
-    claimed = {os.path.realpath(path): flag for flag, path in inputs if path}
-    for flag, path in outputs:
-        if path:
-            parent = os.path.dirname(os.path.abspath(path))
-            if parent == made:  # its nearest existing ancestor must be a directory
-                while not os.path.exists(parent):
-                    parent = os.path.dirname(parent)
-            if not os.path.isdir(parent):
-                raise CliError(f"{flag} {path}: {parent} is not an existing directory")
-            if os.path.isdir(path):
-                raise CliError(f"{flag} {path} is a directory")
-            real = os.path.realpath(path)
-            if real in claimed:
-                raise CliError(f"{flag} {path} is the same file as {claimed[real]}, "
-                               "which it would overwrite")
-            claimed[real] = flag
+def _flag_paths(values: dict, names) -> list:
+    """(flag, path) for each path the `names` options of `values` give."""
+    return [("--" + name.replace("_", "-"), path) for name in names if values.get(name)
+            for path in (values[name] if isinstance(values[name], list) else [values[name]])]
+
+
+def _check_options(values: dict, maps=()) -> None:
+    """Apply RULES to `values`, a command's options by name. Reject an output of
+    OUTPUTS, or a map in --disp-dir, that is a directory, an INPUTS or another output's
+    file, or whose directory does not exist, unless that is a --disp-dir under a directory."""
+    check_rules(values)
+    made = values.get("disp_dir") and os.path.abspath(values["disp_dir"])
+    claimed = {os.path.realpath(path): flag for flag, path in _flag_paths(values, INPUTS)}
+    for flag, path in _flag_paths(values, OUTPUTS) + [("--disp-dir", p) for p in maps]:
+        parent = os.path.dirname(os.path.abspath(path))
+        if parent == made:  # its nearest existing ancestor must be a directory
+            while not os.path.exists(parent):
+                parent = os.path.dirname(parent)
+        if not os.path.isdir(parent):
+            raise CliError(f"{flag} {path}: {parent} is not an existing directory")
+        if os.path.isdir(path):
+            raise CliError(f"{flag} {path} is a directory")
+        real = os.path.realpath(path)
+        if real in claimed:
+            raise CliError(f"{flag} {path} is the same file as {claimed[real]}, "
+                           "which it would overwrite")
+        claimed[real] = flag
 
 
 def _text_file(path):
@@ -364,9 +372,7 @@ def _method_names(paths) -> list[str]:
 def cmd_eval_ds(args) -> int:
     methods = _method_names(args.synth)
     maps = [os.path.join(args.disp_dir, f"{m}.disp.ppm") for m in methods] if args.disp_dir else []
-    _check_outputs([("--exemplar", args.exemplar)] + [("--synth", p) for p in args.synth],
-                   [("--out", _text_file(args.out))] + [("--disp-dir", path) for path in maps],
-                   args.disp_dir)
+    _check_options({**vars(args), "out": _text_file(args.out)}, maps)
     exemplar = read_image(args.exemplar)
     image_id = args.image_id or Path(args.exemplar).stem
 
@@ -385,8 +391,7 @@ def cmd_eval_ds(args) -> int:
 
 def cmd_eval_klw(args) -> int:
     methods = _method_names(args.synth)
-    _check_outputs([("--ref", args.ref)] + [("--synth", p) for p in args.synth],
-                   [("--out", _text_file(args.out))])
+    _check_options({**vars(args), "out": _text_file(args.out)})
     # one decomposition of --ref, for all synths
     ref_details = ggd.wavelet_details(read_image(args.ref), args.scales, args.ref)
     image_id = args.image_id or Path(args.ref).stem
@@ -439,8 +444,7 @@ def _load_classes(path) -> dict[str, str]:
 
 
 def cmd_bt_fit(args) -> int:
-    _check_outputs([("--duels", args.duels), ("--classes", args.classes)],
-                   [("--out", _text_file(args.out))])
+    _check_options({**vars(args), "out": _text_file(args.out)})
     filters = _parse_filters(args.filter)
     image_ids = None
     if "image-class" in filters:
@@ -467,8 +471,7 @@ def cmd_bt_fit(args) -> int:
 
 
 def cmd_project_spectrum(args) -> int:
-    _check_outputs([("--exemplar", args.exemplar), ("--image", args.image)],
-                   [("--out", args.out)])
+    _check_options(vars(args))
     exemplar = read_image(args.exemplar)
     image = read_image(args.image)
     target = losses.spectrum_target(exemplar)
@@ -482,20 +485,17 @@ def cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+    try:  # argparse reads sys.argv[1:] when argv is None
+        args = build_parser().parse_args(argv)
         return args.func(args)
     # reading a user file raises these builtins; they are bad input too
     except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
             FileExistsError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        _emit_error(exc)
-        return 2
+        error, code = exc, 2
     except Exception as exc:  # a runtime failure or a bug
-        _emit_error(exc)
-        return 1
+        error, code = exc, 1
+    print(json.dumps({"error": type(error).__name__, "message": str(error)}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ SynthSession records enough to replay it bit for bit.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -86,6 +88,41 @@ def exemplar_hash(exemplar: Image) -> str:
     return hashlib.sha256(serialize_pnm(exemplar)).hexdigest()
 
 
+@functools.cache
+def blas_kernel() -> str:
+    """numpy's BLAS as "<library> <version> <core>", e.g. "scipy-openblas
+    0.3.31.188.0 SkylakeX"; a part that cannot be read is "unknown".
+
+    A DYNAMIC_ARCH OpenBLAS picks its core at load time (OPENBLAS_CORETYPE
+    overrides it), and the output bytes depend on that core.
+    """
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        library = f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError, TypeError):
+        library = "unknown"
+    return f"{library} {_openblas_core()}"
+
+
+def _openblas_core() -> str:
+    """The core of the OpenBLAS numpy loaded, read as threadpoolctl reads it
+    (https://github.com/joblib/threadpoolctl): from its get_corename symbol."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line and ".so" in line}
+        for lib in sorted(libs):
+            dll = ctypes.CDLL(lib)
+            for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                           "openblas_get_corename64_", "openblas_get_corename"):
+                corename = getattr(dll, symbol, None)
+                if corename is not None:
+                    corename.argtypes, corename.restype = [], ctypes.c_char_p
+                    return (corename() or b"unknown").decode(errors="replace")
+    except OSError:
+        pass
+    return "unknown"
+
+
 @dataclass
 class SynthSession:
     """Everything needed to replay a run and audit its loss curves.
@@ -104,7 +141,7 @@ class SynthSession:
     lbfgs: dict
     scales: list[dict]
     output: dict  # {"path", "bits", "sha256"}
-    environment: dict  # {"numpy", "texsynth"}: no run- or thread-dependent value
+    environment: dict  # {"numpy", "texsynth", "blas"}: no run- or thread-dependent value
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -193,7 +230,8 @@ def synth_multiscale(exemplar: Image, variant: MethodVariant,
         lbfgs=asdict(lbfgs),
         scales=[],
         output={"path": None, "bits": 16},
-        environment={"numpy": np.__version__, "texsynth": __version__},
+        environment={"numpy": np.__version__, "texsynth": __version__,
+                     "blas": blas_kernel()},
     )
     current = None
     for k in range(K, -1, -1):

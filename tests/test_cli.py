@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, files written, JSON errors."""
 
+import argparse
 import csv
 import hashlib
 import importlib
@@ -293,7 +294,8 @@ class TestSynth:
         assert payload["message"].endswith(f"not [{extra[0][2:]!r}]")
         assert sorted(os.listdir(tmp_path)) == before
 
-    @pytest.mark.parametrize("edit", ["digest", "digest-and-numpy", "max-iter"])
+    @pytest.mark.parametrize("edit", ["digest", "digest-and-numpy", "digest-without-blas",
+                                      "max-iter"])
     def test_replay_that_writes_other_bytes_exits_1(self, tmp_path, capsys, edit):
         rc, _, out = self.run_tiny(tmp_path)
         assert rc == 0
@@ -306,6 +308,8 @@ class TestSynth:
             session["output"]["sha256"] = "0" * 64
         if edit == "digest-and-numpy":
             session["environment"]["numpy"] = "0.1"
+        if edit == "digest-without-blas":  # as a session from before the field was recorded
+            del session["environment"]["blas"]
         session_path.write_text(json.dumps(session))
         capsys.readouterr()
         assert self.replay(tmp_path) == 1
@@ -314,7 +318,8 @@ class TestSynth:
         again = (tmp_path / "again.ppm").read_bytes()
         assert (again == out.read_bytes()) == (edit != "max-iter")
         written, recorded = hashlib.sha256(again).hexdigest(), session["output"]["sha256"]
-        differ = f"numpy 0.1 -> {np.__version__}" if edit == "digest-and-numpy" else "none"
+        differ = {"digest-and-numpy": f"numpy 0.1 -> {np.__version__}",
+                  "digest-without-blas": f"blas None -> {synth.blas_kernel()}"}.get(edit, "none")
         assert payload["message"] == (
             f"{tmp_path / 'again.ppm'} has sha256 {written}, not the recorded {recorded}; "
             f"environment fields that differ: {differ}")
@@ -342,6 +347,34 @@ class TestSynth:
             outputs.append(((out / "s.ppm").read_bytes(), (out / "curve.csv").read_bytes(),
                             session))
         assert outputs[0] == outputs[1]
+
+    def test_a_replay_under_another_blas_kernel_exits_1_naming_it(self, tmp_path):
+        config = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+        if "DYNAMIC_ARCH" not in config.get("blas", {}).get("openblas configuration", ""):
+            pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+        recorded = synth.blas_kernel()
+        library, _, core = recorded.rpartition(" ")
+        other = "Sandybridge" if core == "Haswell" else "Haswell"
+        rng = np.random.default_rng(64)
+        write_image(Image(rng.random((64, 64, 3))), tmp_path / "ex.ppm", bits=16)
+        cli_argv = [sys.executable, "-m", "texsynth.cli", "synth"]
+        subprocess.run(cli_argv + ["--exemplar", str(tmp_path / "ex.ppm"),
+                                   "--out", str(tmp_path / "s.ppm"), "--seed", "1",
+                                   "--variant", "gram+spectrum+msinit", "--K", "1",
+                                   "--iterations", "200"],
+                       env=blas_env("1"), check=True, timeout=300, capture_output=True)
+        session = json.loads((tmp_path / "s.session.json").read_text())
+        assert session["environment"]["blas"] == recorded
+        replay = subprocess.run(
+            cli_argv + ["--replay", str(tmp_path / "s.session.json"),
+                        "--out", str(tmp_path / "again.ppm")],
+            env={**blas_env("1"), "OPENBLAS_CORETYPE": other}, timeout=300,
+            capture_output=True, text=True)
+        assert replay.returncode == 1
+        payload = json.loads(replay.stderr)
+        assert payload["error"] == "ReplayMismatch"
+        assert payload["message"].endswith(
+            f"environment fields that differ: blas {recorded} -> {library} {other}")
 
     def test_replay_rejects_a_non_session_file(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
@@ -1300,6 +1333,53 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, case):
     capsys.readouterr()
     assert main(argv) == 2
     stderr_payload(capsys)
+
+
+# each command's image options, the first naming its exemplar or reference
+IMAGE_OPTIONS = {"synth": ["--exemplar"], "eval-ds": ["--exemplar", "--synth"],
+                 "eval-klw": ["--ref", "--synth"], "project-spectrum": ["--exemplar", "--image"]}
+
+
+@pytest.mark.parametrize("inputs", ["existing", "missing"])
+@pytest.mark.parametrize("command, name, value", [
+    ("eval-ds", "patch", 4), ("eval-ds", "patch", 0), ("eval-ds", "patch", -3),
+    ("eval-klw", "scales", 0), ("eval-klw", "scales", -1), ("project-spectrum", "bits", 12),
+    ("synth", "iterations", -1),
+])
+def test_an_option_out_of_range_exits_2_naming_it_before_any_read(
+        tmp_path, capsys, monkeypatch, command, name, value, inputs):
+    rule = {"patch": "odd and >= 1", "scales": ">= 1", "bits": "8 or 16",
+            "iterations": ">= 0"}[name]
+    images = [save_rgb(tmp_path / "ex.ppm"), save_rgb(tmp_path / "a.ppm", phase=1.0)]
+    if inputs == "missing":
+        images[0] = str(tmp_path / "missing.ppm")
+    argv = [command, "--out", str(tmp_path / "out"), f"--{name}", str(value)]
+    for flag, path in zip(IMAGE_OPTIONS[command], images):
+        argv += [flag, path]
+    before = sorted(os.listdir(tmp_path))
+    forbid_reads(monkeypatch)
+    assert main(argv) == 2
+    assert stderr_payload(capsys) == {"error": "CliError",
+                                      "message": f"{name} must be {rule}, got {value}"}
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+# the options neither RULES nor the role tables cover: image_id is free text, filter
+# FILTERS' to check, variant and K MethodVariant's, and disp_dir the directory eval-ds makes
+FREE_OPTIONS = ("image_id", "filter", "variant", "K", "disp_dir")
+
+
+def test_every_option_is_in_one_table_and_every_table_entry_is_an_option():
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for parser in commands.values() for action in parser._actions
+             if action.dest != "help"}
+    tables = {"RULES": set(cli.RULES), "INPUTS": set(cli.INPUTS),
+              "OUTPUTS": set(cli.OUTPUTS), "FREE_OPTIONS": set(FREE_OPTIONS)}
+    homes = {dest: [table for table, names in tables.items() if dest in names]
+             for dest in dests}
+    assert {dest: home for dest, home in homes.items() if len(home) != 1} == {}
+    assert {table: names - dests for table, names in tables.items() if names - dests} == {}
 
 
 def test_a_provenance_no_weights_writer_makes_exits_2_naming_it(tmp_path, capsys):

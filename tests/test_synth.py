@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from texsynth import losses, optim
+from texsynth import losses, optim, synth
 from texsynth.imagecore import Image, serialize_pnm
 from texsynth.losses import compute_targets, spectrum_loss, spectrum_target
 from texsynth.net import LayerSpec, Network, make_network, random_weights
@@ -341,3 +341,17 @@ class TestHash:
 
     def test_different_images_differ(self):
         assert exemplar_hash(periodic_rgb(16)) != exemplar_hash(periodic_rgb(17))
+
+
+class TestBlasKernel:
+    def test_names_the_library_and_is_read_once(self):
+        kernel = synth.blas_kernel()
+        assert synth.blas_kernel() is kernel
+        assert kernel.endswith(" " + synth._openblas_core())
+
+    def test_a_core_that_cannot_be_read_is_unknown(self, monkeypatch):
+        def fail(path):
+            raise OSError("cannot load")
+
+        monkeypatch.setattr(synth.ctypes, "CDLL", fail)
+        assert synth._openblas_core() == "unknown"

@@ -17,15 +17,19 @@ still the bias (0.0 in the adjoint) plus the nine products, added in
 raster tap order. So the output does not depend on the band size.
 
 The patch search finds, for every synthesis window a, the exemplar window b
-of least SSD |a - b|^2. Candidates come from |a|^2 + |b|^2 - 2 a.b, with
-a.b from one GEMM per block of synthesis rows; a block's temporaries stay
-within a fixed byte budget. With k = patch^2 * channels, u = 2^-53 and
-g(n) = n u / (1 - n u), every candidate within 8 g(k+3) (|a|^2 + max |b|^2)
-of its row's minimum (plus an allowance for underflow) is re-ranked by its
-exact SSD. That margin bounds the rounding of both the GEMM estimate and
-the exact SSD; the derivation is at `displacement_search`. The exact SSD is
-summed in the order the direct per-pixel search summed it, and ties go to
-the smallest raster index of the exemplar window, which is the
+of least SSD |a - b|^2. Windows with the same bytes have the same answer,
+so each distinct window of either image is searched once: a periodic or
+flat image has few. The estimate is |b|^2 - 2 a.b, the SSD less the row
+constant |a|^2, from one GEMM of [a, 1] with [-2b, |b|^2] per block of
+synthesis rows; a block's temporaries stay within a fixed byte budget.
+With k = patch^2 * channels, u = 2^-53 and g(n) = n u / (1 - n u), every
+candidate within 10 g(k+3) (|a|^2 + max |b|^2) of its row's least estimate
+(plus an allowance for underflow) may be the exact winner. That margin
+bounds the rounding of both the GEMM estimate and the exact SSD; the
+derivation is at `displacement_search`. A row with one such candidate is
+decided by it; the candidates of every other row are re-ranked by their
+exact SSD, summed in the order the direct per-pixel search summed it, and
+ties go to the smallest raster index of the exemplar window, which is the
 lexicographically smallest (dy, dx). So the map equals the direct search's
 bit for bit, whatever the BLAS summation order or thread count.
 """
@@ -87,12 +91,34 @@ def conv3x3_back(g: np.ndarray, kern: np.ndarray) -> np.ndarray:
 _SEARCH_BLOCK_BYTES = 16 << 20
 
 
-def _windows(img: np.ndarray, patch: int) -> tuple[int, np.ndarray]:
-    """Window columns, and every window as a (patch, patch * c) row-major block."""
+def _distinct_windows(img: np.ndarray, patch: int):
+    """The windows of `img`, each distinct one once.
+
+    Returns the window columns; the raster index of the first copy of each
+    distinct window, ascending; for every window, the position of its first
+    copy in that list; and those first copies as the rows of a matrix, each
+    window row-major as (patch, patch * c) and followed by a 1. Windows are
+    equal when their bytes are, so 0.0 and -0.0 tell two windows apart.
+    """
     win = np.lib.stride_tricks.sliding_window_view(img, (patch, patch), axis=(0, 1))
+    win = win.transpose(0, 1, 3, 4, 2)
     rows, cols = win.shape[:2]
-    flat = np.ascontiguousarray(win.transpose(0, 1, 3, 4, 2))
-    return cols, flat.reshape(rows * cols, patch, -1)
+    every = np.ones((rows * cols, win[0, 0].size + 1))
+    every[:, :-1].reshape(win.shape)[...] = win  # a view, so no temporary
+    keys = every.view(np.dtype((np.void, every[0].nbytes))).ravel()
+    # a stable sort by bytes keeps equal windows in raster order, so each
+    # run of equal keys starts with its first copy
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    del ranked
+    first = order[new]  # in key order
+    raster = np.argsort(first)
+    pos = np.empty(len(keys), dtype=np.intp)
+    pos[order] = np.argsort(raster)[np.cumsum(new) - 1]
+    first = first[raster]
+    return cols, first, pos, every[first]
 
 
 def _exact_ssd(a: np.ndarray, b: np.ndarray, one_column: bool) -> np.ndarray:
@@ -129,51 +155,75 @@ def displacement_search(synth: np.ndarray, exemplar: np.ndarray, patch: int) -> 
         raise InputError("patch size exceeds image dimensions")
     if synth.shape[2] != exemplar.shape[2]:
         raise InputError("channel counts differ")
-    s_cols, a = _windows(synth, patch)
-    e_cols, b = _windows(exemplar, patch)
-    k = a[0].size
-    a_mat, b_mat = a.reshape(len(a), k), b.reshape(len(b), k)
-    a_sq = np.einsum("ij,ij->i", a_mat, a_mat)
-    b_sq = np.einsum("ij,ij->i", b_mat, b_mat)
+    # Equal bytes give equal exact SSDs, so each distinct window is searched
+    # once. The exemplar keeps the first copy of each, in raster order, so
+    # the smallest index still wins a tie.
+    s_cols, _, a_pos, a_aug = _distinct_windows(synth, patch)
+    e_cols, b_first, _, b_aug = _distinct_windows(exemplar, patch)
+    k = a_aug.shape[1] - 1
+    a_sq = np.einsum("ij,ij->i", a_aug[:, :k], a_aug[:, :k])
+    b_sq = np.einsum("ij,ij->i", b_aug[:, :k], b_aug[:, :k])
     b_sq_max = b_sq.max()
     # every pixel lies in some window, so this also rejects NaN and inf input
     if not np.isfinite(4.0 * (a_sq.max() + b_sq_max)):
         raise ValueError("non-finite pixel values, or values so large that "
                          "squared patch distances overflow")
+    # [a, 1] . [-2b, |b|^2] is |b|^2 - 2 a.b, the SSD less |a|^2, which is
+    # constant along a row and so does not change its ranking. Both scalings
+    # of b are exact, so the re-rank gets b back from -2b with its bytes.
+    b_aug[:, k] = b_sq
+    b_aug[:, :k] *= -2.0
+    # the windows as (patch, patch * c) blocks, views for the re-rank
+    a, minus_2b = (m[:, :k].reshape(len(m), patch, -1) for m in (a_aug, b_aug))
     # The margin. Let u = 2**-53 and g(n) = n*u / (1 - n*u). For windows a, b
-    # with exact SSD s = |a|^2 + |b|^2 - 2 a.b <= 2 (|a|^2 + |b|^2):
-    # - the estimate e = fl(fl(-2 a.b + |b|^2) + |a|^2) errs by at most
-    #   g(k) |a|^2 + g(k) |b|^2 from the norms, g(k) (|a|^2 + |b|^2) from the
-    #   GEMM's 2 a.b whatever its summation order or thread split, and two
-    #   roundings of values below 2 (|a|^2 + |b|^2):
-    #   |e - s| <= E = 2 g(k+2) (|a|^2 + |b|^2);
+    # let t = |b|^2 - 2 a.b, so that the exact SSD is s = |a|^2 + t.
+    # - The estimate e is one GEMM of k + 1 products, in any summation order
+    #   or thread split. Scaling by -2 is exact, 2 |a.b| <= |a|^2 + |b|^2,
+    #   and the computed |b|^2 errs by at most g(k) |b|^2, so
+    #   |e - t| <= g(k+1) (|a|^2 + |b|^2 + (1 + g(k)) |b|^2) + g(k) |b|^2
+    #           <= E = (3 + g(k)) g(k+1) (|a|^2 + |b|^2);
     # - the exact SSD S, summed in any order from k rounded squares of
-    #   rounded differences, errs by at most g(k+2) s <= D = E.
+    #   rounded differences, errs by at most g(k+2) s, and
+    #   s <= 2 (|a|^2 + |b|^2), so by at most D = 2 g(k+2) (|a|^2 + |b|^2).
     # If b* wins the exact ranking and b' has the least estimate, then
-    #   e(b*) <= s(b*) + E <= S(b*) + E + D <= S(b') + E + D <= e(b') + 2E + 2D,
-    # so b* lies within 8 g(k+2) (|a|^2 + max |b|^2) of the row minimum.
-    # Taking g(k+3) adds at least 8u (|a|^2 + max |b|^2). That covers the
-    # rounding of (row minimum + margin), below 2u (|a|^2 + max |b|^2) to
-    # first order, and, at second order, the rounding of the margin itself
-    # and the computed norms standing in for exact ones. A product that
-    # underflows errs by at most half a subnormal, absolutely; 2E + 2D hold
-    # 5k products, which the 8k subnormals added to the margin cover.
+    #   e(b*) <= t(b*) + E <= S(b*) - |a|^2 + E + D <= S(b') - |a|^2 + E + D
+    #         <= t(b') + E + 2D <= e(b') + 2E + 2D,
+    # and 2E + 2D <= (10 + 2 g(k)) g(k+2) (|a|^2 + max |b|^2). Taking
+    # 10 g(k+3) adds at least 10u (|a|^2 + max |b|^2). That covers the
+    # rounding of (least estimate + margin), below 2u (|a|^2 + max |b|^2) to
+    # first order since |e| <= |b|^2 + 2 |a||b|, and, at second order, the
+    # 2 g(k) g(k+2) term, the rounding of the margin itself and the computed
+    # norms standing in for exact ones. A product that underflows errs by at
+    # most half a subnormal, absolutely; 2E + 2D hold 6k products (k in the
+    # GEMM and k in |b|^2 for each E, k squares for each D), which the 8k
+    # subnormals added to the margin cover.
     u = np.finfo(np.float64).eps / 2
     gamma = (k + 3) * u / (1 - (k + 3) * u)
-    underflow = 8 * k * np.finfo(np.float64).smallest_subnormal
+    margin = 10 * gamma * (a_sq + b_sq_max) + 8 * k * np.finfo(np.float64).smallest_subnormal
     best = np.empty(len(a), dtype=np.int64)
-    block = max(1, _SEARCH_BLOCK_BYTES // (8 * len(b)))
-    chunk = max(1, _SEARCH_BLOCK_BYTES // (3 * 8 * k))  # two gathers, one difference
+    block = max(1, _SEARCH_BLOCK_BYTES // (8 * len(b_aug)))
+    chunk = max(1, _SEARCH_BLOCK_BYTES // (4 * 8 * k))  # two gathers, b, one difference
+    # one buffer for every block's estimates: a fresh one per block cost
+    # about as much in page faults as the GEMM that fills it
+    buf = np.empty((min(block, len(a)), len(b_aug)))
     for lo in range(0, len(a), block):
         hi = min(lo + block, len(a))
-        approx = a_mat[lo:hi] @ b_mat.T
-        approx *= -2.0
-        approx += b_sq
-        approx += a_sq[lo:hi, None]
-        margin = 8 * gamma * (a_sq[lo:hi] + b_sq_max) + underflow
-        rows, cols = np.nonzero(approx <= (approx.min(axis=1) + margin)[:, None])
+        est = np.matmul(a_aug[lo:hi], b_aug.T, out=buf[: hi - lo])
+        least = est.argmin(axis=1)
+        at = np.arange(hi - lo)
+        near = est <= (est[at, least] + margin[lo:hi])[:, None]
+        # a row whose only candidate is its least estimate is decided by it
+        best[lo:hi] = least
+        near[at, least] = False
+        many = np.flatnonzero(near.any(axis=1))
+        if not len(many):
+            continue
+        near[at, least] = True
+        rows, cols = np.nonzero(near[many])
+        rows = lo + many[rows]
         ssd = np.concatenate([
-            _exact_ssd(a[lo + rows[i : i + chunk]], b[cols[i : i + chunk]], e_cols == 1)
+            _exact_ssd(a[rows[i : i + chunk]], minus_2b[cols[i : i + chunk]] * -0.5,
+                       e_cols == 1)
             for i in range(0, len(rows), chunk)
         ])
         # by row, then exact SSD, then raster index of the exemplar window,
@@ -182,7 +232,8 @@ def displacement_search(synth: np.ndarray, exemplar: np.ndarray, patch: int) -> 
         rows, cols = rows[order], cols[order]
         first = np.ones(len(rows), dtype=bool)
         first[1:] = rows[1:] != rows[:-1]
-        best[lo + rows[first]] = cols[first]
-    ys, xs = np.divmod(np.arange(len(a)), s_cols)
+        best[rows[first]] = cols[first]
+    best = b_first[best[a_pos]]
+    ys, xs = np.divmod(np.arange(len(best)), s_cols)
     eys, exs = np.divmod(best, e_cols)
-    return np.stack([eys - ys, exs - xs], axis=1).reshape(len(a) // s_cols, s_cols, 2)
+    return np.stack([eys - ys, exs - xs], axis=1).reshape(len(best) // s_cols, s_cols, 2)

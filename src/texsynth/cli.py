@@ -10,12 +10,14 @@ config file (strict schema; the key has `_` where the flag has `-`). A
 --config file presets them, and flags win. A --replay session sets them all,
 takes only the REPLAY_FLAGS paths, and writes the recorded bytes or exits 1.
 Each bt-fit --filter key of FILTERS may be given once. eval-klw names the
-image whose size cannot take --scales. Before any read, every command checks
-each value by its name's RULES entry (and synth's variant and K) and each
-path by its INPUTS or OUTPUTS role: an output that is the same file as an
-input or as another output, that is a directory, or whose directory does
-not exist, exits 2. So does an eval-ds --disp-dir that is not a directory or
-would be made under a regular file; a missing one is created.
+image whose size cannot take --scales; eval-ds names the image smaller than
+a patch, or the synth whose channel count differs from the exemplar's.
+Before any read, every command checks each value by its name's RULES entry
+(and synth's variant and K) and each path by its INPUTS or OUTPUTS role: an
+output that is the same file as an input or as another output, that is a
+directory, or whose directory does not exist, exits 2. So does an eval-ds
+--disp-dir that is not a directory or would be made under a regular file; a
+missing one is created.
 `-` means stdout only as the --out of eval-ds, eval-klw and bt-fit; every
 other path `-` is a file. The eval commands score one image at a time, and
 BLAS threads (OPENBLAS_NUM_THREADS) are their only parallelism.
@@ -378,8 +380,15 @@ def cmd_eval_ds(args) -> int:
 
     results = []
     for path in args.synth:  # every image scored before any write
-        disp = displacement.displacement_map(read_image(path), exemplar, patch=args.patch)
-        results.append((disp, displacement.ds_score(disp)))
+        # --patch is checked, so a failure is an image's: the exemplar's when
+        # it is smaller than a patch, else the synth's size or channel count
+        culprit = args.exemplar if min(exemplar.h, exemplar.w) < args.patch else path
+        synth = read_image(path)
+        try:
+            disp = displacement.displacement_map(synth, exemplar, patch=args.patch)
+            results.append((disp, displacement.ds_score(disp)))
+        except InputError as exc:
+            raise type(exc)(f"{culprit}: {exc}") from None
     if maps:
         os.makedirs(args.disp_dir, exist_ok=True)
     for path, (disp, _) in zip(maps, results):

@@ -24,10 +24,11 @@ def displacement_map(synth, exemplar, patch: int = DEFAULT_PATCH) -> np.ndarray:
     so a verbatim copy maps to all zeros. Ties break to the smallest
     (dy, dx) in lexicographic order. Patch must be odd.
 
-    With N synth windows, M exemplar windows and k = patch^2 * channels,
-    the search costs about 2 N M k flops in GEMMs, plus the exact SSDs of
-    the candidates it re-ranks; its temporaries are bounded per block of
-    synth rows, not by N M.
+    With N' distinct synth windows, M' distinct exemplar windows and
+    k = patch^2 * channels, the search costs about 2 N' M' k flops in GEMMs,
+    plus the exact SSDs of the candidates it re-ranks; its temporaries are
+    bounded per block of synth rows, not by N' M'. Periodic and flat images
+    have few distinct windows, so they are cheap.
     """
     return displacement_search(_as_array(synth), _as_array(exemplar), patch)
 

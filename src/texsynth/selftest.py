@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import bradley_terry, losses, net as netmod, optim, synth, wavelets
+from . import _kernels, bradley_terry, losses, net as netmod, optim, synth, wavelets
 from .imagecore import Image
 
 
@@ -125,6 +125,24 @@ def _check_optimizer() -> tuple[bool, str]:
     )
 
 
+def _check_displacement_search() -> tuple[bool, str]:
+    # a periodic pair: every window has many exact copies on both sides
+    tile = np.random.default_rng(11).random((3, 2, 3))
+    synth, exemplar = np.tile(tile, (4, 5, 1))[:10, :9], np.tile(tile, (4, 6, 1))[1:12, 1:11]
+    patch = 3
+    fast = _kernels.displacement_search(synth, exemplar, patch)
+    wins = np.lib.stride_tricks.sliding_window_view(exemplar, (patch, patch), axis=(0, 1))
+    slow = np.empty_like(fast)
+    for y in range(fast.shape[0]):
+        for x in range(fast.shape[1]):
+            window = synth[y : y + patch, x : x + patch].transpose(2, 0, 1)
+            ssd = ((wins - window) ** 2).sum(axis=(2, 3, 4))
+            ey, ex = np.unravel_index(np.argmin(ssd), ssd.shape)  # first = smallest (dy, dx)
+            slow[y, x] = ey - y, ex - x
+    differ = int(np.any(fast != slow, axis=2).sum())
+    return differ == 0, f"{differ} of {fast.shape[0] * fast.shape[1]} offsets differ"
+
+
 CHECKS = (
     ("total-loss gradient vs central differences", _check_total_loss_gradient),
     ("fft autocorrelation vs direct wraparound sum", _check_wiener_khinchin),
@@ -132,6 +150,7 @@ CHECKS = (
     ("wavelet perfect reconstruction", _check_dwt_reconstruction),
     ("paired-comparison two-method closed form", _check_bt_closed_form),
     ("optimizer on rosenbrock", _check_optimizer),
+    ("patch search vs direct per-pixel loop on a periodic pair", _check_displacement_search),
 )
 
 

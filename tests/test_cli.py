@@ -687,6 +687,32 @@ class TestEvalDs:
         assert rc == 2
         assert stderr_payload(capsys)["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("bad", ["tiny-synth", "gray-synth", "tiny-exemplar"])
+    def test_an_image_the_search_cannot_take_exits_2_naming_the_file(
+            self, tmp_path, capsys, bad):
+        # a bad second synth fails after the first has scored
+        ex = save_rgb(tmp_path / "ex.ppm")
+        synths = [save_rgb(tmp_path / "ok.ppm", phase=1.0)]
+        if bad == "tiny-synth":
+            culprit = save_rgb(tmp_path / "tiny.ppm", n=3)
+            synths.append(culprit)
+            message = "patch size exceeds image dimensions"
+        elif bad == "gray-synth":
+            culprit = str(tmp_path / "gray.pgm")
+            write_image(Image(as_array(smooth_rgb()).mean(axis=2)), culprit)
+            synths.append(culprit)
+            message = "channel counts differ"
+        else:
+            ex = culprit = save_rgb(tmp_path / "small.ppm", n=3)
+            message = "patch size exceeds image dimensions"
+        out = tmp_path / "m.csv"
+        rc = main(["eval-ds", "--exemplar", ex, "--synth", *synths, "--out", str(out),
+                   "--disp-dir", str(tmp_path / "maps")])
+        assert rc == 2
+        assert stderr_payload(capsys) == {"error": "InputError",
+                                          "message": f"{culprit}: {message}"}
+        assert not out.exists() and not (tmp_path / "maps").exists()
+
 
 class TestEvalKlw:
     def test_self_distance_hits_the_log_sentinel(self, tmp_path, capsys):
@@ -1251,7 +1277,7 @@ class TestSelftest:
         rc = main(["selftest"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 6
+        assert len(lines) == 7
         assert all(line.startswith("PASS") for line in lines)
 
 

@@ -289,6 +289,72 @@ class TestDisplacement:
                 direct_search(synth, exemplar, patch),
             )
 
+    @pytest.mark.parametrize("budget", [None, 64])
+    @pytest.mark.parametrize("case", ["periodic", "flat", "signed-zeros", "late-duplicates"])
+    def test_duplicate_windows_match_the_direct_search_exactly(self, monkeypatch, budget, case):
+        if budget is not None:
+            monkeypatch.setattr(_kernels, "_SEARCH_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(8)
+
+        def tiling(tile, h, w):
+            reps = (h // tile.shape[0] + 1, w // tile.shape[1] + 1, 1)
+            return np.tile(tile, reps)[:h, :w]
+
+        if case == "periodic":  # periods 3 and 4 divide neither side
+            pairs = [(tiling(rng.random((3, 3, 3)), 13, 11),
+                      tiling(rng.random((4, 4, 3)), 14, 10)),
+                     (tiling(rng.random((3, 3, 1)), 13, 11),
+                      tiling(rng.random((3, 3, 1)), 14, 10))]
+        elif case == "flat":  # one distinct window on each side
+            pairs = [(np.full((9, 10, 3), 0.3), np.full((11, 8, 3), 0.7)),
+                     (np.full((9, 10, 1), 0.7), np.full((11, 8, 1), 0.7))]
+        elif case == "signed-zeros":
+            # windows of equal values whose bytes differ in the sign of a zero
+            def signed(shape):
+                img = rng.integers(0, 2, shape).astype(np.float64)
+                return np.where((img == 0) & (rng.random(shape) < 0.5), -0.0, img)
+
+            pairs = [(signed((12, 11, 1)), signed((13, 12, 1))),
+                     (-np.zeros((9, 9, 3)), np.zeros((10, 9, 3))),
+                     (np.zeros((9, 9, 3)), signed((10, 9, 3)) * 0.0)]
+        else:
+            # the exemplar's repeated windows first occur in its lower half,
+            # below distinct noise, and the synth matches each of them exactly
+            tile = rng.random((2, 3, 3))
+            exemplar = rng.random((14, 13, 3))
+            exemplar[7:] = tiling(tile, 7, 13)
+            pairs = [(tiling(tile, 10, 12), exemplar),
+                     (tiling(tile[:, :, :1], 10, 12), exemplar[:, :, :1])]
+        for synth, exemplar in pairs:
+            for patch in (1, 3, 5):
+                assert np.array_equal(
+                    displacement_search(synth, exemplar, patch),
+                    direct_search(synth, exemplar, patch),
+                ), patch
+
+    @pytest.mark.parametrize("budget", [None, 64])
+    @pytest.mark.parametrize("patch,channels", [(1, 1), (3, 3)])
+    def test_blocks_mixing_decided_and_re_ranked_rows_match_the_direct_search(
+            self, monkeypatch, budget, patch, channels):
+        # Against a 0/1 exemplar, a window of 0.5s is at the same exact SSD
+        # from every exemplar window, and one of 0.5s and a few 0s and 1s
+        # from every window that agrees on those, so their rows re-rank
+        # many windows; a noise window has one candidate. A gray 1x1 patch
+        # has two distinct exemplar windows, so a 64-byte budget holds four
+        # rows, the 0.5s first; with no budget set all rows are one block.
+        if budget is not None:
+            monkeypatch.setattr(_kernels, "_SEARCH_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(9)
+        synth = rng.random((12, 11, channels))
+        synth[:6] = np.where(rng.random((6, 11, channels)) < 0.1,
+                             rng.integers(0, 2, (6, 11, channels)), 0.5)
+        exemplar = rng.integers(0, 2, (10, 9, channels)).astype(np.float64)
+        assert len(np.unique(exemplar)) == 2
+        assert np.array_equal(
+            displacement_search(synth, exemplar, patch),
+            direct_search(synth, exemplar, patch),
+        )
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["synth", "exemplar"])
     def test_non_finite_input_rejected(self, bad, which):

@@ -11,7 +11,8 @@ config file (strict schema; the key has `_` where the flag has `-`). A
 takes only the REPLAY_FLAGS paths, and writes the recorded bytes or exits 1.
 Each bt-fit --filter key of FILTERS may be given once. eval-klw names the
 image whose size cannot take --scales; eval-ds names the image smaller than
-a patch, or the synth whose channel count differs from the exemplar's.
+a patch, or the synth whose channel count differs from the exemplar's;
+project-spectrum names an --image whose shape differs from the exemplar's.
 Before any read, every command checks each value by its name's RULES entry
 (and synth's variant and K) and each path by its INPUTS or OUTPUTS role: an
 output that is the same file as an input or as another output, that is a
@@ -56,7 +57,7 @@ class ReplayMismatch(Exception):
 RULES = {
     **dict.fromkeys(("seed", "net_seed", "iterations", "history", "grad_tol"),
                     (">= 0", lambda v: v >= 0)),  # False for a NaN grad_tol
-    **dict.fromkeys(("beta", "layer_weight"), ("finite", math.isfinite)),
+    **dict.fromkeys(("beta", "layer_weight"), ("finite and >= 0", lambda v: 0 <= v < math.inf)),
     "bits": ("8 or 16", lambda v: v in (8, 16)),
     "pool": ("avg or max", lambda v: v in ("avg", "max")),
     "patch": ("odd and >= 1", lambda v: v >= 1 and v % 2 == 1),
@@ -97,9 +98,9 @@ class RunConfig:
     K: int = _option(synth.DEFAULT_K, "pyramid depth for msinit")
     beta: float = _option(losses.DEFAULT_BETA, "spectrum term weight")
     seed: int = _option(0, "noise seed")
-    iterations: int = _option(2000, "iteration cap per scale")
-    history: int = _option(10, "curvature pairs kept")
-    grad_tol: float = _option(1e-8)
+    iterations: int = _option(optim.LbfgsConfig.max_iter, "iteration cap per scale")
+    history: int = _option(optim.LbfgsConfig.history, "curvature pairs kept")
+    grad_tol: float = _option(optim.LbfgsConfig.grad_tol)
     layer_weight: float = _option(losses.DEFAULT_LAYER_WEIGHT)
     net_seed: int = _option(0, "random weights seed")
     net_weights: str | None = _option(None, "weights file to load")
@@ -483,8 +484,10 @@ def cmd_project_spectrum(args) -> int:
     _check_options(vars(args))
     exemplar = read_image(args.exemplar)
     image = read_image(args.image)
-    target = losses.spectrum_target(exemplar)
-    projected = losses.spectrum_project(image, target)
+    try:
+        projected = losses.spectrum_project(image, losses.spectrum_target(exemplar))
+    except InputError as exc:  # the one check is the image's shape against the exemplar's
+        raise type(exc)(f"{args.image}: {exc}") from None
     write_image(projected, args.out, bits=args.bits)
     return 0
 

@@ -199,7 +199,7 @@ def _read_png(path) -> Image:
     try:
         from PIL import Image as PILImage
     except ImportError as exc:
-        raise RasterFormatError("PNG input requires Pillow") from exc
+        raise RasterFormatError(f"{path}: PNG input requires Pillow") from exc
     with PILImage.open(path) as im:
         if im.mode not in ("L", "RGB", "I;16"):
             im = im.convert("RGB" if im.mode not in ("1", "I", "F") else "L")

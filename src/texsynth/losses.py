@@ -12,9 +12,10 @@ Three terms, each differentiable w.r.t. the synthesized image:
 
 Each feature term is one per-layer statistic S(f) returned with its
 adjoint (S(f) - target, w) -> cotangent of w |S(f) - target|^2; one loop
-and one target type (FeatureTarget) serve both. compute_targets alone picks
-the layers they read: the network's default statistics layers unless others
-are asked for, less those under 2x2 at the exemplar's size.
+and one target type (FeatureTarget, with one w for all layers) serve both.
+compute_targets alone picks the layers they read: the network's default
+statistics layers unless others are asked for (synthesis never does), less
+those under 2x2 at the exemplar's size.
 
 DFT convention is numpy's: unnormalized forward, 1/N inverse. Every
 transform is of a real array, so only its half spectrum is computed and
@@ -45,16 +46,11 @@ FEATURE_TERMS = ("gram", "autocorr")
 
 @dataclass
 class FeatureTarget:
-    """Per-layer exemplar statistics of a feature term and their loss
-    weights, given as one scalar or per layer and stored per layer."""
+    """Per-layer exemplar statistics of a feature term, and the one loss
+    weight every layer's squared distance is multiplied by."""
 
     stats: dict[str, np.ndarray]
-    weights: dict[str, float]
-
-    def __post_init__(self):
-        w = self.weights
-        self.weights = {name: float(w if np.isscalar(w) else w[name])
-                        for name in self.stats}
+    weight: float
 
 
 @dataclass
@@ -148,7 +144,7 @@ def circular_autocorr(channel: np.ndarray) -> np.ndarray:
 
 
 def _feature_loss(stat, feats: dict[str, np.ndarray], target: FeatureTarget):
-    """Value sum_l w_l |S(f_l) - target_l|^2 and per-layer feature cotangents."""
+    """Value w sum_l |S(f_l) - target_l|^2 and per-layer feature cotangents."""
     if set(feats) != set(target.stats):
         raise ValueError(
             f"feature layers {sorted(feats)} do not match target layers "
@@ -156,18 +152,18 @@ def _feature_loss(stat, feats: dict[str, np.ndarray], target: FeatureTarget):
         )
     value = 0.0
     cots = {}
+    w = target.weight
     for name, f in feats.items():
         diff, adjoint = stat(f)
         diff -= target.stats[name]  # in place: the statistic is a fresh array
-        w = target.weights[name]
         value += w * np.sum(diff**2)
         cots[name] = adjoint(diff, w)
     return value, cots
 
 
-def gram_target(feats: dict[str, np.ndarray], weights) -> FeatureTarget:
+def gram_target(feats: dict[str, np.ndarray], weight: float) -> FeatureTarget:
     """Gram matrix (m, m) per layer: F^T F / N^2 for F of shape (N, m)."""
-    return FeatureTarget({name: _gram(f)[0] for name, f in feats.items()}, weights)
+    return FeatureTarget({name: _gram(f)[0] for name, f in feats.items()}, weight)
 
 
 def gram_loss(feats: dict[str, np.ndarray], target: FeatureTarget):
@@ -224,9 +220,9 @@ def spectrum_loss(img, target: SpectrumTarget):
     return float(np.sum(resid**2) / (2 * n)), resid / n
 
 
-def autocorr_target(feats: dict[str, np.ndarray], weights) -> FeatureTarget:
+def autocorr_target(feats: dict[str, np.ndarray], weight: float) -> FeatureTarget:
     """Autocorrelation per feature channel as sqrt(m) |rfft2|^2 / N^2, layer-keyed."""
-    return FeatureTarget({name: _autocorr(f)[0] for name, f in feats.items()}, weights)
+    return FeatureTarget({name: _autocorr(f)[0] for name, f in feats.items()}, weight)
 
 
 def autocorr_loss(feats: dict[str, np.ndarray], target: FeatureTarget):
@@ -274,10 +270,9 @@ def compute_targets(exemplar, cfg, network=None, layers=None,
 
 
 def total_loss(img, cfg, targets: StatTargets, network=None) -> LossReport:
-    """Combined loss and image-space gradient for the active terms."""
+    """Combined loss and image-space gradient of cfg.terms, spectrum weighted by cfg.beta."""
     data = _as_array(img)
     terms = set(cfg.terms)
-    beta = getattr(cfg, "beta", DEFAULT_BETA)
     for term in TERM_NAMES:
         if term in terms and getattr(targets, term) is None:
             raise ValueError(f"{term} term active but no {term} target")
@@ -300,8 +295,8 @@ def total_loss(img, cfg, targets: StatTargets, network=None) -> LossReport:
 
     if "spectrum" in terms:
         spectrum_distance, sgrad = spectrum_loss(data, targets.spectrum)
-        report_terms["spectrum"] = beta * spectrum_distance
-        grad = beta * sgrad if grad is None else grad + beta * sgrad
+        report_terms["spectrum"] = cfg.beta * spectrum_distance
+        grad = cfg.beta * sgrad if grad is None else grad + cfg.beta * sgrad
 
     total = float(sum(report_terms.values()))
     return LossReport(total, report_terms, grad, spectrum_distance)

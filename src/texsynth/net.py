@@ -287,15 +287,15 @@ def _layer(net: Network, spec: LayerSpec, x: np.ndarray):
 
 
 def _run(net: Network, img, wanted):
-    """Run the chain on img: the outputs of the `wanted` layers (every layer
-    when None), keyed by name, and the tape of (name, output shape, adjoint)."""
+    """Run the chain on img: the outputs of the `wanted` layers, keyed by
+    name, and the tape of (name, output shape, adjoint)."""
     x = as_array(img)
     if x.ndim != 3 or x.shape[2] != net.in_channels:
         raise ValueError(
             f"input shape {x.shape} does not match network input "
             f"({net.in_channels} channels)"
         )
-    wanted = net.names if wanted is None else tuple(wanted)
+    wanted = tuple(wanted)
     unknown = set(wanted) - set(net.names)
     if unknown:
         raise ValueError(f"unknown layers requested: {sorted(unknown)}")
@@ -308,7 +308,7 @@ def _run(net: Network, img, wanted):
     return acts, tape
 
 
-def forward(net: Network, img, wanted=None) -> dict[str, np.ndarray]:
+def forward(net: Network, img, wanted) -> dict[str, np.ndarray]:
     """Activations (h_l, w_l, m_l) at the `wanted` layers, keyed by name."""
     return _run(net, img, wanted)[0]
 

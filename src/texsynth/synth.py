@@ -162,8 +162,7 @@ def synth_single_scale(exemplar: Image, variant: MethodVariant,
                        network: netmod.Network | None, seed: int,
                        init: Image | None = None,
                        lbfgs: optim.LbfgsConfig | None = None,
-                       layer_weight: float = losses.DEFAULT_LAYER_WEIGHT,
-                       stats_layers=None):
+                       layer_weight: float = losses.DEFAULT_LAYER_WEIGHT):
     """Optimize one scale; returns (Image, OptTrace, scale_record_dict).
 
     `init` defaults to white noise matched to the exemplar's channel
@@ -175,8 +174,7 @@ def synth_single_scale(exemplar: Image, variant: MethodVariant,
         init = white_noise(*data.shape, seed, data.mean(axis=(0, 1)), data.std(axis=(0, 1)))
     elif init.data.shape != data.shape:
         raise ValueError(f"init dims {init.data.shape} != exemplar dims {data.shape}")
-    targets = losses.compute_targets(exemplar, variant, network, layers=stats_layers,
-                                     layer_weight=layer_weight)
+    targets = losses.compute_targets(exemplar, variant, network, layer_weight=layer_weight)
     shape = init.data.shape
     latest = None  # (point, report) of the latest evaluation
 
@@ -207,7 +205,7 @@ def synth_multiscale(exemplar: Image, variant: MethodVariant,
                      network: netmod.Network | None, seed: int,
                      lbfgs: optim.LbfgsConfig | None = None,
                      layer_weight: float = losses.DEFAULT_LAYER_WEIGHT,
-                     stats_layers=None, exemplar_path=None):
+                     exemplar_path=None):
     """Coarse-to-fine synthesis; returns (Image, SynthSession).
 
     With the multiscale flag off (or K = 0) this is exactly one
@@ -240,10 +238,8 @@ def synth_multiscale(exemplar: Image, variant: MethodVariant,
             init = None  # white noise inside synth_single_scale
         else:
             init = upsample_bilinear(current, level.h, level.w)
-        current, _, record = synth_single_scale(
-            level, variant, network, seed, init=init, lbfgs=lbfgs,
-            layer_weight=layer_weight, stats_layers=stats_layers,
-        )
+        current, _, record = synth_single_scale(level, variant, network, seed, init=init,
+                                                lbfgs=lbfgs, layer_weight=layer_weight)
         record["k"] = k
         session.scales.append(record)
     return current, session

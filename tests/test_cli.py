@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import texsynth
-from texsynth import cli, synth
+from texsynth import cli, selftest, synth
 from texsynth.cli import RunConfig, main
 from texsynth.ggd import LOG_ZERO_SENTINEL
 from texsynth.imagecore import Image, as_array, read_image, write_image
@@ -451,8 +451,9 @@ class TestSynth:
     @pytest.mark.parametrize("source", ["flag", "config", "session"])
     @pytest.mark.parametrize("name, value", [
         ("iterations", -3), ("history", -2), ("grad_tol", -1.0), ("grad_tol", math.nan),
-        ("beta", math.nan), ("beta", math.inf), ("layer_weight", -math.inf),
-        ("bits", 12), ("pool", "min"), ("seed", -1), ("variant", "gram+bogus"), ("K", -1),
+        ("beta", math.nan), ("beta", math.inf), ("beta", -1.0), ("layer_weight", -math.inf),
+        ("layer_weight", -1.0), ("bits", 12), ("pool", "min"), ("seed", -1),
+        ("variant", "gram+bogus"), ("K", -1),
     ])
     def test_an_unusable_option_exits_2_before_the_exemplar_is_read(
             self, tmp_path, capsys, monkeypatch, source, name, value):
@@ -522,6 +523,16 @@ class TestSynth:
         rc = main(["synth", "--config", str(cfg)])
         assert rc == 2
         assert "bad type for key 'variant'" in stderr_payload(capsys)["message"]
+
+    def test_a_null_path_in_a_config_leaves_the_option_unset(self, tmp_path):
+        ex = save_rgb(tmp_path / "ex.ppm")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"exemplar": ex, "out": str(tmp_path / "x.ppm"),
+                                   "session": None, "curve": None, "variant": "gram",
+                                   "iterations": 3}))
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cfg.json", "ex.ppm", "x.ppm", "x.session.json"]
 
     def test_missing_exemplar_flag_exits_2(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "x.ppm")])
@@ -1271,14 +1282,29 @@ class TestProjectSpectrum:
         assert rc == 2
         assert stderr_payload(capsys)["error"] == "InputError"
 
+    @pytest.mark.parametrize("bad, shape", [("b.ppm", (24, 32, 3)), ("g.pgm", (32, 32, 1))],
+                             ids=["other-size", "gray"])
+    def test_an_image_of_another_shape_exits_2_naming_it(self, tmp_path, capsys, bad, shape):
+        ex = save_rgb(tmp_path / "ex.ppm", n=32)
+        img = tmp_path / bad
+        write_image(Image(np.random.default_rng(0).random(shape)), img)
+        out = tmp_path / "x.ppm"
+        rc = main(["project-spectrum", "--exemplar", ex, "--image", str(img), "--out", str(out)])
+        assert rc == 2
+        assert stderr_payload(capsys) == {
+            "error": "InputError",
+            "message": f"{img}: image shape {shape} != target shape (32, 32, 3)"}
+        assert not out.exists()
+
 
 class TestSelftest:
     def test_all_checks_pass(self, capsys):
         rc = main(["selftest"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 7
-        assert all(line.startswith("PASS") for line in lines)
+        assert len(lines) == len(selftest.CHECKS)
+        for line, (name, _) in zip(lines, selftest.CHECKS):
+            assert line.startswith(f"PASS  {name}  (")
 
 
 def bad_input_argv(tmp_path, case):

@@ -1,5 +1,7 @@
 """Image container, resampling, pyramids, and PNM round trips."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,11 @@ class TestPnmIO:
         img = read_image(path)
         assert img.data.shape == (2, 2, 1)
         assert np.allclose(img.data[:, :, 0] * 255, arr)
+
+    def test_png_without_pillow_names_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.png"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(16))
+        monkeypatch.setitem(sys.modules, "PIL", None)  # unimportable, installed or not
+        with pytest.raises(RasterFormatError) as info:
+            read_image(path)
+        assert str(info.value) == f"{path}: PNG input requires Pillow"

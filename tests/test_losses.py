@@ -96,13 +96,13 @@ class TestGram:
         with pytest.raises(ValueError, match="do not match target layers"):
             gram_loss(f, target)
 
-    def test_per_layer_weights(self):
+    def test_the_value_sums_over_layers(self):
         rng = np.random.default_rng(3)
         feats = {"a": rng.standard_normal((3, 3, 2)), "b": rng.standard_normal((2, 2, 1))}
         tfeats = {"a": rng.standard_normal((3, 3, 2)), "b": rng.standard_normal((2, 2, 1))}
-        va, _ = gram_loss(feats, gram_target(tfeats, {"a": 1.0, "b": 0.0}))
-        vb, _ = gram_loss(feats, gram_target(tfeats, {"a": 0.0, "b": 1.0}))
-        vab, _ = gram_loss(feats, gram_target(tfeats, {"a": 1.0, "b": 1.0}))
+        va, _ = gram_loss({"a": feats["a"]}, gram_target({"a": tfeats["a"]}, 1.0))
+        vb, _ = gram_loss({"b": feats["b"]}, gram_target({"b": tfeats["b"]}, 1.0))
+        vab, _ = gram_loss(feats, gram_target(tfeats, 1.0))
         assert np.isclose(va + vb, vab)
 
 
@@ -338,6 +338,17 @@ class TestTargetsAndTotal:
         ex = Image(np.random.default_rng(16).random((8, 8, 3)))
         with pytest.raises(ValueError, match="need a network"):
             compute_targets(ex, MethodVariant(("gram",)))
+
+    @pytest.mark.parametrize("missing", ["gram", "spectrum", "autocorr"])
+    def test_an_active_term_without_its_target_is_rejected(self, missing):
+        rng = np.random.default_rng(23)
+        ex = rng.random((8, 8, 3))
+        net = tiny_net()
+        everything = MethodVariant(("gram", "spectrum", "autocorr"))
+        others = MethodVariant(tuple(t for t in everything.terms if t != missing))
+        targets = compute_targets(ex, others, net, layers=["c1", "p1"])
+        with pytest.raises(ValueError, match=f"^{missing} term active but no {missing} target$"):
+            total_loss(rng.random((8, 8, 3)), everything, targets, net)
 
     def test_breakdown_sums_to_total(self):
         rng = np.random.default_rng(17)

@@ -78,7 +78,7 @@ class TestSpecs:
     def test_forward_shapes_match_layer_dims(self):
         net = small_net()
         x = np.random.default_rng(0).random((9, 7, 3))
-        acts = forward(net, x)
+        acts = forward(net, x, net.names)
         for name, a in acts.items():
             assert a.shape == net.layer_dims(9, 7)[name]
 
@@ -104,7 +104,7 @@ class TestForwardBackward:
         # pooling, every window's maximum is clear of its runner-up
         for seed in range(20):
             x = np.random.default_rng(seed).random((7, 9, 3))
-            acts = forward(net, x)
+            acts = forward(net, x, net.names)
             kink = min(np.abs(acts["c1"]).min(), np.abs(acts["c2"]).min())
             if pool == "max":
                 kink = min(kink, top_two_gap(acts["r1"]), top_two_gap(acts["r2"]))
@@ -165,10 +165,16 @@ class TestForwardBackward:
         with pytest.raises(ValueError, match="cotangent shape"):
             forward_with_pullback(net, np.zeros((8, 8, 3)), ())[1]({"p1": np.zeros((2, 2, 4))})
 
+    def test_cotangents_for_unknown_layers_rejected(self):
+        net = small_net()
+        pull = forward_with_pullback(net, np.zeros((8, 8, 3)), ())[1]
+        with pytest.raises(ValueError, match=r"cotangents for unknown layers: \['nope'\]"):
+            pull({"p1": np.zeros((4, 4, 4)), "nope": np.zeros((8, 8, 4))})
+
     def test_input_channel_mismatch_rejected(self):
         net = small_net()
         with pytest.raises(ValueError, match="does not match network input"):
-            forward(net, np.zeros((8, 8, 1)))
+            forward(net, np.zeros((8, 8, 1)), net.names)
 
 
 class TestPooling:

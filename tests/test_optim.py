@@ -5,13 +5,16 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from texsynth import optim
 from texsynth.optim import (
     C1,
     C2,
     MAX_LS,
     LbfgsConfig,
     NonFiniteObjective,
+    _cubic_step,
     _line_search,
+    _zoom,
     minimize,
     two_loop_direction,
 )
@@ -149,6 +152,72 @@ class TestTrace:
         _, trace = minimize(lambda z: (-z[0], [-1.0]), [0.0])
         assert trace.termination == "line_search_failure"
         assert trace.n_evals == 26
+
+
+class TestNonDescentFallback:
+    """A two-loop direction that does not descend gives way to -g/|g|."""
+
+    def run(self, monkeypatch, shift_after_first_step):
+        points, grads, second = [], [], []  # second: (evaluations so far, gradient)
+
+        def ascent(grad, pairs, gamma):
+            second.append((len(points), np.array(grad, copy=True)))
+            return np.array(grad, copy=True)  # +g, so p'g > 0
+
+        monkeypatch.setattr(optim, "two_loop_direction", ascent)
+        f = quadratic(np.diag([1.0, 10.0]), np.zeros(2))
+
+        def recording(x):
+            value, grad = f(x)
+            points.append(np.array(x, copy=True))
+            grads.append(grad)
+            return value + (shift_after_first_step if second else 0.0), grad
+
+        _, trace = minimize(recording, np.array([3.0, 1.0]), LbfgsConfig(max_iter=2))
+        ((n, g1),) = second
+        x1 = next(p for p, g in zip(points[:n], grads[:n]) if np.array_equal(g, g1))
+        steps = [p - x1 for p in points[n:]]
+        unit = -g1 / np.linalg.norm(g1)
+        for step in steps:  # every probe of the second search lies along -g1, to rounding
+            assert step @ unit > 0
+            assert np.allclose(step, (step @ unit) * unit, rtol=0, atol=1e-14)
+        return trace, steps
+
+    def test_the_step_runs_along_the_scaled_negative_gradient(self, monkeypatch):
+        trace, steps = self.run(monkeypatch, 0.0)
+        assert trace.iterations == 2
+        assert np.linalg.norm(steps[0]) == pytest.approx(1.0, rel=1e-12)  # unit-length -g/|g|
+
+    def test_a_failed_search_is_not_retried(self, monkeypatch):
+        # every probe after the first step is worse, so the search fails; a
+        # retry along -g/|g| would repeat its probes
+        trace, steps = self.run(monkeypatch, 1e6)
+        assert (trace.termination, trace.iterations) == ("line_search_failure", 1)
+        lengths = [float(np.linalg.norm(step)) for step in steps]
+        assert len(lengths) > 1 and len(set(lengths)) == len(lengths)
+
+
+class TestZoom:
+    """_zoom on crafted brackets of (step, value, slope)."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        ((1.0, 0.0, -3.0), (0.0, 2.0, -3.0)),  # the cubic fit has no real minimizer
+        ((1.0, 0.0, -1.0), (0.0, 0.5, 0.0)),  # its minimizer formula divides by zero
+    ], ids=["negative-discriminant", "zero-denominator"])
+    def test_a_degenerate_cubic_fit_bisects(self, lo, hi):
+        assert _cubic_step(*lo, *hi) is None
+        phi, calls = probe(lambda a: 1.0 - a, lambda a: -1.0)
+        _zoom(phi, 1.0, -1.0, lo, hi)
+        assert calls[0] == 0.5
+
+    def test_a_probe_past_the_minimum_flips_the_bracket(self):
+        # from lo = 0 the bisection lands at 1.95, lower than lo but uphill
+        # with |slope| > C2 |d0|: the bracket becomes [0, 1.95], not [1.95, 3.9]
+        f = lambda a: 5.0 * (a - 1.0) ** 2 - 5.0 if a < 3.0 else np.inf  # noqa: E731
+        phi, calls = probe(f, lambda a: 10.0 * (a - 1.0))
+        step, value, _ = _zoom(phi, 0.0, -10.0, (0.0, 0.0, -10.0), (3.9, np.inf, np.nan))
+        assert calls[0] == 1.95 and 0.0 < calls[1] < 1.95
+        assert step == pytest.approx(1.0) and value <= C1 * step * -10.0
 
 
 def probed_points(fun, x0, cfg):

@@ -29,12 +29,14 @@ def periodic_rgb(n=64):
 
 
 def three_layer_net(seed=3):
+    """Three layers named as vgg-mini's, so that the default statistics
+    layers it has are conv1_1 and pool1."""
     specs = (
-        LayerSpec("c1", "conv3x3", 3, 8),
-        LayerSpec("r1", "relu", 8, 8),
-        LayerSpec("c2", "conv3x3", 8, 16),
-        LayerSpec("r2", "relu", 16, 16),
-        LayerSpec("p1", "pool2", 16, 16),
+        LayerSpec("conv1_1", "conv3x3", 3, 8),
+        LayerSpec("relu1_1", "relu", 8, 8),
+        LayerSpec("conv1_2", "conv3x3", 8, 16),
+        LayerSpec("relu1_2", "relu", 16, 16),
+        LayerSpec("pool1", "pool2", 16, 16),
     )
     return Network(specs, random_weights(specs, seed))
 
@@ -154,7 +156,6 @@ class TestSingleScale:
             net,
             0,
             init=ex,
-            stats_layers=["c1", "p1"],
         )
         assert trace.iterations == 0
         assert trace.values[0] < 1e-18
@@ -177,10 +178,9 @@ class TestSingleScale:
             net,
             0,
             lbfgs=LbfgsConfig(max_iter=5),
-            stats_layers=["c1", "p1"],
         )
         assert record["dims"] == [16, 16, 3]
-        assert record["stats_layers"] == ["c1", "p1"]
+        assert record["stats_layers"] == ["conv1_1", "pool1"]
         assert record["dropped_layers"] == []
         assert record["trace"]["iterations"] == trace.iterations
         assert "spectrum" in record["final_terms"]
@@ -195,7 +195,6 @@ class TestSingleScale:
             net,
             1,
             lbfgs=LbfgsConfig(max_iter=30),
-            stats_layers=["c1", "p1"],
         )
         vals = trace.values
         assert len(vals) >= 2
@@ -211,7 +210,6 @@ class TestSingleScale:
             net,
             0,
             lbfgs=LbfgsConfig(max_iter=500),
-            stats_layers=["c1", "p1"],
         )
         assert trace.values[-1] < 0.05 * trace.values[0]
 
@@ -243,8 +241,7 @@ class TestFinalTerms:
                                                          termination):
         calls = self.count_loss_calls(monkeypatch)
         v = MethodVariant(terms, multiscale=True, K=1)
-        _, session = synth_multiscale(periodic_rgb(16), v, three_layer_net(), 0, lbfgs=lbfgs,
-                                      stats_layers=["c1", "p1"])
+        _, session = synth_multiscale(periodic_rgb(16), v, three_layer_net(), 0, lbfgs=lbfgs)
         assert [rec["trace"]["termination"] for rec in session.scales] == [termination] * 2
         assert len(calls) == sum(rec["trace"]["n_evals"] for rec in session.scales)
 
@@ -303,7 +300,7 @@ class TestMultiscale:
         v = MethodVariant(("gram", "spectrum"), multiscale=True, K=1)
         net = three_layer_net()
         _, session = synth_multiscale(
-            ex, v, net, 2, lbfgs=cfg, stats_layers=["c1", "p1"], exemplar_path="ex.ppm"
+            ex, v, net, 2, lbfgs=cfg, exemplar_path="ex.ppm"
         )
         back = SynthSession(**json.loads(session.to_json()))
         assert back.to_json() == session.to_json()

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import importlib
 import io
@@ -9,10 +10,12 @@ import json
 import math
 import os
 import pkgutil
+import platform
 import shutil
 import struct
 import subprocess
 import sys
+import types
 import zlib
 from dataclasses import fields
 from pathlib import Path
@@ -57,11 +60,13 @@ def forbid_synthesis(monkeypatch):
     monkeypatch.setattr(synth, "synth_multiscale", fail)
 
 
-def blas_env(threads):
-    """Environment for a `python -m texsynth.cli` subprocess at a BLAS thread count."""
+def blas_env(threads=None):
+    """Environment for a `python -m texsynth.cli` subprocess at a BLAS thread count,
+    or at the one this process was given when `threads` is None."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+    return {**os.environ, **({"OPENBLAS_NUM_THREADS": threads} if threads else {}),
+            "PYTHONPATH": path}
 
 
 def write_session(path, net=None):
@@ -483,6 +488,45 @@ class TestSynth:
         payload = stderr_payload(capsys)
         assert payload["error"] == "CliError"
         assert payload["message"].startswith(self.MESSAGE_STARTS.get(name, f"{name} must be "))
+
+    @pytest.mark.parametrize("source", ["flag", "config", "session"])
+    @pytest.mark.parametrize("variant, zeros, named", [
+        ("spectrum", {"beta": 0.0}, "beta is 0"),
+        ("gram", {"layer_weight": 0.0}, "layer_weight is 0"),
+        ("gram+spectrum", {"beta": 0.0, "layer_weight": 0.0}, "beta is 0 and layer_weight is 0"),
+    ])
+    def test_a_variant_whose_active_terms_all_weigh_0_exits_2_before_the_exemplar_is_read(
+            self, tmp_path, capsys, monkeypatch, source, variant, zeros, named):
+        ex = save_rgb(tmp_path / "ex.ppm")
+        values = {"variant": variant, **zeros}
+        argv = ["synth", "--out", str(tmp_path / "x.ppm")]
+        if source == "flag":
+            argv += ["--exemplar", ex] + [f"--{name.replace('_', '-')}={value}"
+                                          for name, value in values.items()]
+        elif source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"exemplar": ex, **values}))
+            argv += ["--config", str(cfg)]
+        else:
+            assert self.run_tiny(tmp_path)[0] == 0
+            session_path = tmp_path / "out.session.json"
+            session_path.write_text(json.dumps({**json.loads(session_path.read_text()),
+                                                **values}))
+            argv += ["--replay", str(session_path)]
+        capsys.readouterr()
+        forbid_reads(monkeypatch)
+        assert main(argv) == 2
+        assert stderr_payload(capsys) == {
+            "error": "CliError",
+            "message": f"variant {variant!r} has no term of nonzero weight: {named}"}
+        assert not (tmp_path / "x.ppm").exists()
+
+    @pytest.mark.parametrize("variant, zeros", [
+        ("gram+spectrum", {"beta": 0.0}), ("gram+spectrum", {"layer_weight": 0.0}),
+        ("spectrum", {"layer_weight": 0.0}), ("gram+autocorr", {"beta": 0.0}),
+    ])
+    def test_a_variant_with_one_term_of_nonzero_weight_is_accepted(self, variant, zeros):
+        assert RunConfig(variant=variant, **zeros).method_variant.to_string() == variant
 
     @pytest.mark.parametrize("option", fields(RunConfig), ids=lambda f: f.name)
     def test_every_option_is_a_flag_and_a_config_key(self, tmp_path, capsys, option):
@@ -1474,3 +1518,112 @@ def test_every_exception_class_has_a_decided_exit_code():
     assert set(defined) == INPUT_ERRORS | RUNTIME_ERRORS
     assert all(issubclass(defined[name], texsynth.InputError) for name in INPUT_ERRORS)
     assert not any(issubclass(defined[name], ValueError) for name in RUNTIME_ERRORS)
+
+
+# Writes an image and prints the per-scale loss values as synth does, through
+# the library alone: cli.main, and so cli.tune_malloc, never runs here.
+LIBRARY_SYNTH = """
+import json, sys
+from texsynth import imagecore, net, optim, synth
+exemplar_path, out, variant, K, iterations, bits = sys.argv[1:]
+exemplar = imagecore.read_image(exemplar_path)
+network = net.make_network(in_channels=exemplar.c, seed=0, pool="avg")
+result, session = synth.synth_multiscale(
+    exemplar, synth.MethodVariant.parse(variant, K=int(K)), network, 1,
+    lbfgs=optim.LbfgsConfig(max_iter=int(iterations)))
+imagecore.write_image(result, out, bits=int(bits))
+assert "texsynth.cli" not in sys.modules
+print(json.dumps([record["trace"]["values"] for record in session.scales]))
+"""
+
+
+@pytest.mark.parametrize("size, variant, K, iterations, bits", [
+    (32, "gram+spectrum+msinit", 1, 60, 16),
+    (64, "gram+spectrum+autocorr", 0, 30, 8),
+], ids=["msinit", "autocorr-8-bit"])
+def test_the_malloc_thresholds_move_no_output_byte(tmp_path, size, variant, K, iterations,
+                                                     bits):
+    rng = np.random.default_rng(size)
+    ex = tmp_path / "ex.ppm"
+    write_image(Image(rng.random((size, size, 3))), ex, bits=16)
+    run = {"env": blas_env(), "check": True,
+           "timeout": 300, "capture_output": True, "text": True}
+    subprocess.run([sys.executable, "-m", "texsynth.cli", "synth", "--exemplar", str(ex),
+                    "--out", str(tmp_path / "cli.ppm"), "--variant", variant, "--K", str(K),
+                    "--iterations", str(iterations), "--bits", str(bits), "--seed", "1"], **run)
+    library = subprocess.run([sys.executable, "-c", LIBRARY_SYNTH, str(ex),
+                              str(tmp_path / "lib.ppm"), variant, str(K), str(iterations),
+                              str(bits)], **run)
+    session = json.loads((tmp_path / "cli.session.json").read_text())
+    assert (tmp_path / "cli.ppm").read_bytes() == (tmp_path / "lib.ppm").read_bytes()
+    assert [record["trace"]["values"] for record in session["scales"]] == json.loads(
+        library.stdout)
+    assert len(session["scales"]) == K + 1
+
+
+FAULTS_OF_MAIN = """
+import resource, sys
+from texsynth import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert cli.main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="mallopt thresholds are glibc's")
+def test_a_steady_loss_evaluation_faults_in_no_fresh_pages(tmp_path):
+    # about 800 faults per evaluation at glibc's default thresholds, about 15 at the tuned ones
+    rng = np.random.default_rng(64)
+    ex = tmp_path / "ex.ppm"
+    write_image(Image(rng.random((64, 64, 3))), ex, bits=16)
+    faults = subprocess.run(
+        [sys.executable, "-c", FAULTS_OF_MAIN, "synth", "--exemplar", str(ex),
+         "--out", str(tmp_path / "s.ppm"), "--variant", "gram+spectrum",
+         "--iterations", "100", "--seed", "1"],
+        env=blas_env(), check=True, timeout=300,
+        capture_output=True, text=True)
+    session = json.loads((tmp_path / "s.session.json").read_text())
+    n_evals = session["scales"][0]["trace"]["n_evals"]
+    assert n_evals > 100
+    assert int(faults.stdout.splitlines()[-1]) / n_evals < 200
+
+
+MMAP_THRESHOLD_MAX = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+
+
+def fake_cdll(monkeypatch, libc):
+    """Make ctypes.CDLL(None) return `libc`, or raise it if it is an exception."""
+    real = ctypes.CDLL
+
+    def cdll(name, *args, **kwargs):
+        if name is not None:
+            return real(name, *args, **kwargs)
+        if isinstance(libc, Exception):
+            raise libc
+        return libc
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+
+
+@pytest.mark.parametrize("accepted, wanted", [
+    (1, [(-3, MMAP_THRESHOLD_MAX), (-1, 2 * MMAP_THRESHOLD_MAX)]),
+    (0, [(-3, MMAP_THRESHOLD_MAX)]),
+], ids=["both", "neither-once-the-mmap-threshold-is-refused"])
+def test_tune_malloc_sets_the_mmap_then_the_trim_threshold(monkeypatch, accepted, wanted):
+    calls = []
+    fake_cdll(monkeypatch, types.SimpleNamespace(
+        mallopt=lambda param, value: calls.append((param, value)) or accepted))
+    cli.tune_malloc()
+    assert calls == wanted
+
+
+@pytest.mark.parametrize("libc", [types.SimpleNamespace(), OSError("no libc")],
+                         ids=["no-mallopt", "no-libc"])
+def test_without_mallopt_a_synth_still_runs(tmp_path, monkeypatch, libc):
+    fake_cdll(monkeypatch, libc)
+    assert cli.tune_malloc() is None
+    ex = save_rgb(tmp_path / "ex.ppm")
+    assert main(["synth", "--exemplar", ex, "--out", str(tmp_path / "x.ppm"),
+                 "--variant", "gram", "--iterations", "3"]) == 0
+    assert (tmp_path / "x.ppm").exists()

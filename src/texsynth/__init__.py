@@ -34,7 +34,6 @@ from .imagecore import (
     write_image,
 )
 from .losses import (
-    FeatureTarget,
     LossReport,
     SpectrumTarget,
     StatTargets,

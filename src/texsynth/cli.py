@@ -90,8 +90,8 @@ class RunConfig:
 
     The flag is `--` + the name with `_` as `-`. A field's default fixes
     its type; a field that defaults to None is a str path. Values no run
-    can use raise CliError. `method_variant` is the variant parsed with
-    beta and K.
+    can use raise CliError. `method_variant`, the variant parsed with beta,
+    K and layer_weight, owns the loss weights and their zero-weight rule.
     """
 
     exemplar: str | None = _option(None, "input PPM/PGM exemplar")
@@ -113,18 +113,11 @@ class RunConfig:
 
     def __post_init__(self):
         check_rules(vars(self))
-        try:  # variant and K are MethodVariant's to check, once, here
-            self.method_variant = synth.MethodVariant.parse(self.variant, beta=self.beta,
-                                                            K=self.K)
+        try:  # the variant, K and the weights are MethodVariant's to check, once, here
+            self.method_variant = synth.MethodVariant.parse(
+                self.variant, beta=self.beta, K=self.K, layer_weight=self.layer_weight)
         except InputError as exc:
             raise CliError(str(exc)) from None
-        terms = self.method_variant.terms
-        weights = {"beta": self.beta} if "spectrum" in terms else {}
-        if set(terms) & set(losses.FEATURE_TERMS):
-            weights["layer_weight"] = self.layer_weight
-        if not any(weights.values()):  # a zero loss: the noise start would be the output
-            raise CliError(f"variant {self.variant!r} has no term of nonzero weight: "
-                           + " and ".join(f"{name} is 0" for name in weights))
 
 
 def _option_type(f) -> type:
@@ -297,7 +290,7 @@ def cmd_synth(args) -> int:
                               grad_tol=cfg.grad_tol)
     result, session = synth.synth_multiscale(
         exemplar, cfg.method_variant, network, cfg.seed, lbfgs=lbfgs,
-        layer_weight=cfg.layer_weight, exemplar_path=os.path.abspath(cfg.exemplar),
+        exemplar_path=os.path.abspath(cfg.exemplar),
     )
     write_image(result, cfg.out, bits=cfg.bits)
     digest = hashlib.sha256(Path(cfg.out).read_bytes()).hexdigest()

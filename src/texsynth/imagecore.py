@@ -167,9 +167,10 @@ def read_image(path) -> Image:
 
     The header (_PNM_HEADER) is the magic, then width, height and maxval,
     each after whitespace and "#" line comments, then one whitespace byte.
-    Samples are mapped to [0, 1] by dividing by maxval. 16-bit samples are
-    big-endian. PNG input is accepted as a convenience when Pillow is
-    installed; PNM is the native format.
+    Samples are mapped to [0, 1] by dividing by maxval; one above maxval is
+    an error, as in Netpbm. 16-bit samples are big-endian. PNG input is
+    accepted as a convenience when Pillow is installed; PNM is the native
+    format.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -192,6 +193,8 @@ def read_image(path) -> Image:
             f"truncated payload in {path}: expected {expect} bytes, got {len(payload)}"
         )
     raw = np.frombuffer(payload, dtype=dtype).reshape(h, w, channels)
+    if raw.max() > maxval:
+        raise RasterFormatError(f"sample {raw.max()} above maxval {maxval} in {path}")
     return Image(raw.astype(np.float64) / maxval)
 
 

@@ -12,10 +12,10 @@ Three terms, each differentiable w.r.t. the synthesized image:
 
 Each feature term is one per-layer statistic S(f) returned with its
 adjoint (S(f) - target, w) -> cotangent of w |S(f) - target|^2; one loop
-and one target type (FeatureTarget, with one w for all layers) serve both.
-compute_targets alone picks the layers they read: the network's default
-statistics layers unless others are asked for (synthesis never does), less
-those under 2x2 at the exemplar's size.
+serves both, with w = cfg.layer_weight at every layer; targets hold only
+exemplar statistics. compute_targets alone picks the layers they read: the
+network's default statistics layers unless others are asked for (synthesis
+never does), less those under 2x2 at the exemplar's size.
 
 DFT convention is numpy's: unnormalized forward, 1/N inverse. Every
 transform is of a real array, so only its half spectrum is computed and
@@ -45,15 +45,6 @@ FEATURE_TERMS = ("gram", "autocorr")
 
 
 @dataclass
-class FeatureTarget:
-    """Per-layer exemplar statistics of a feature term, and the one loss
-    weight every layer's squared distance is multiplied by."""
-
-    stats: dict[str, np.ndarray]
-    weight: float
-
-
-@dataclass
 class SpectrumTarget:
     """Half DFT (rfft2) of each exemplar channel, shape (h, w // 2 + 1, c),
     and the exemplar's shape (h, w, c), which the half spectrum leaves
@@ -65,16 +56,17 @@ class SpectrumTarget:
 
 @dataclass(frozen=True)
 class StatTargets:
-    """Exemplar statistics of the active terms, and the layers kept and dropped."""
+    """Exemplar statistics of the active terms ({layer: statistic} for gram
+    and autocorr), and the layers kept and dropped."""
 
-    gram: FeatureTarget | None = None
+    gram: dict[str, np.ndarray] | None = None
     spectrum: SpectrumTarget | None = None
-    autocorr: FeatureTarget | None = None
+    autocorr: dict[str, np.ndarray] | None = None
     dropped_layers: list[str] = field(default_factory=list)
 
     @property
     def stats_layers(self) -> list[str]:
-        names = [n for t in (self.gram, self.autocorr) if t is not None for n in t.stats]
+        names = [n for t in (self.gram, self.autocorr) if t is not None for n in t]
         return list(dict.fromkeys(names))
 
 
@@ -143,32 +135,31 @@ def circular_autocorr(channel: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(stat / np.sqrt(_multiplicity(x.shape[1])), s=x.shape)
 
 
-def _feature_loss(stat, feats: dict[str, np.ndarray], target: FeatureTarget):
+def _feature_loss(stat, feats: dict[str, np.ndarray], target: dict[str, np.ndarray],
+                  w: float):
     """Value w sum_l |S(f_l) - target_l|^2 and per-layer feature cotangents."""
-    if set(feats) != set(target.stats):
+    if set(feats) != set(target):
         raise ValueError(
-            f"feature layers {sorted(feats)} do not match target layers "
-            f"{sorted(target.stats)}"
+            f"feature layers {sorted(feats)} do not match target layers {sorted(target)}"
         )
     value = 0.0
     cots = {}
-    w = target.weight
     for name, f in feats.items():
         diff, adjoint = stat(f)
-        diff -= target.stats[name]  # in place: the statistic is a fresh array
+        diff -= target[name]  # in place: the statistic is a fresh array
         value += w * np.sum(diff**2)
         cots[name] = adjoint(diff, w)
     return value, cots
 
 
-def gram_target(feats: dict[str, np.ndarray], weight: float) -> FeatureTarget:
+def gram_target(feats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Gram matrix (m, m) per layer: F^T F / N^2 for F of shape (N, m)."""
-    return FeatureTarget({name: _gram(f)[0] for name, f in feats.items()}, weight)
+    return {name: _gram(f)[0] for name, f in feats.items()}
 
 
-def gram_loss(feats: dict[str, np.ndarray], target: FeatureTarget):
-    """Value and per-layer feature cotangents of the Gram term."""
-    return _feature_loss(_gram, feats, target)
+def gram_loss(feats: dict[str, np.ndarray], target: dict[str, np.ndarray], weight: float):
+    """Value and per-layer feature cotangents of the Gram term at `weight`."""
+    return _feature_loss(_gram, feats, target, weight)
 
 
 def spectrum_target(exemplar) -> SpectrumTarget:
@@ -220,18 +211,17 @@ def spectrum_loss(img, target: SpectrumTarget):
     return float(np.sum(resid**2) / (2 * n)), resid / n
 
 
-def autocorr_target(feats: dict[str, np.ndarray], weight: float) -> FeatureTarget:
+def autocorr_target(feats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Autocorrelation per feature channel as sqrt(m) |rfft2|^2 / N^2, layer-keyed."""
-    return FeatureTarget({name: _autocorr(f)[0] for name, f in feats.items()}, weight)
+    return {name: _autocorr(f)[0] for name, f in feats.items()}
 
 
-def autocorr_loss(feats: dict[str, np.ndarray], target: FeatureTarget):
-    """Value and per-layer feature cotangents of the autocorrelation term."""
-    return _feature_loss(_autocorr, feats, target)
+def autocorr_loss(feats: dict[str, np.ndarray], target: dict[str, np.ndarray], weight: float):
+    """Value and per-layer feature cotangents of the autocorrelation term at `weight`."""
+    return _feature_loss(_autocorr, feats, target, weight)
 
 
-def compute_targets(exemplar, cfg, network=None, layers=None,
-                    layer_weight=DEFAULT_LAYER_WEIGHT) -> StatTargets:
+def compute_targets(exemplar, cfg, network=None, layers=None) -> StatTargets:
     """Exemplar statistics for the terms a variant activates.
 
     `layers` defaults to the network's standard statistics layers, less those
@@ -239,9 +229,6 @@ def compute_targets(exemplar, cfg, network=None, layers=None,
     terms require `network`, the spectrum term does not.
     """
     terms = set(cfg.terms)
-    unknown = terms - set(TERM_NAMES)
-    if unknown:
-        raise ValueError(f"unknown loss terms: {sorted(unknown)}")
     data = _as_array(exemplar)
     found, dropped = {}, []
     if terms & set(FEATURE_TERMS):
@@ -263,14 +250,14 @@ def compute_targets(exemplar, cfg, network=None, layers=None,
         term_targets = {"gram": gram_target, "autocorr": autocorr_target}
         for term in FEATURE_TERMS:
             if term in terms:
-                found[term] = term_targets[term](feats, layer_weight)
+                found[term] = term_targets[term](feats)
     if "spectrum" in terms:
         found["spectrum"] = spectrum_target(data)
     return StatTargets(**found, dropped_layers=dropped)
 
 
 def total_loss(img, cfg, targets: StatTargets, network=None) -> LossReport:
-    """Combined loss and image-space gradient of cfg.terms, spectrum weighted by cfg.beta."""
+    """Combined loss and image gradient of cfg.terms, weighted by cfg.layer_weight and cfg.beta."""
     data = _as_array(img)
     terms = set(cfg.terms)
     for term in TERM_NAMES:
@@ -286,8 +273,8 @@ def total_loss(img, cfg, targets: StatTargets, network=None) -> LossReport:
         # looked up per call, so that rebinding a module-level name takes effect
         term_losses = {"gram": gram_loss, "autocorr": autocorr_loss}
         for term, target in active.items():
-            sub = {name: feats[name] for name in target.stats}
-            value, term_cots = term_losses[term](sub, target)
+            sub = {name: feats[name] for name in target}
+            value, term_cots = term_losses[term](sub, target, cfg.layer_weight)
             report_terms[term] = value
             for name, c in term_cots.items():
                 cots[name] = cots[name] + c if name in cots else c

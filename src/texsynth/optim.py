@@ -91,11 +91,11 @@ def two_loop_direction(grad, pairs, gamma: float):
         a = rho * _dot(s, q)
         q -= a * y
         alphas.append(a)
-    r = gamma * q
+    q *= gamma  # r = H0 q of the second loop, in q's memory
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * _dot(y, r)
-        r += (a - b) * s
-    return -r
+        b = rho * _dot(y, q)
+        q += (a - b) * s
+    return np.negative(q, out=q)
 
 
 def _is_good(value, grad) -> bool:

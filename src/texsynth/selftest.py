@@ -39,9 +39,8 @@ def _check_total_loss_gradient() -> tuple[bool, str]:
     )
     network = netmod.Network(specs, netmod.random_weights(specs, 11))
     exemplar = Image(rng.random((8, 8, 3)))
-    variant = synth.MethodVariant(("gram", "spectrum", "autocorr"), beta=10.0)
-    targets = losses.compute_targets(exemplar, variant, network, layers=["c1", "p1"],
-                                     layer_weight=3.0)
+    variant = synth.MethodVariant(("gram", "spectrum", "autocorr"), beta=10.0, layer_weight=3.0)
+    targets = losses.compute_targets(exemplar, variant, network, layers=["c1", "p1"])
     x = rng.random((8, 8, 3))
     report = losses.total_loss(x, variant, targets, network)
     fd = _fd_grad(lambda a: losses.total_loss(a, variant, targets, network).total, x)

@@ -32,12 +32,14 @@ _VARIANT_TOKENS = {*losses.TERM_NAMES, "msinit"}
 
 @dataclass(frozen=True)
 class MethodVariant:
-    """Active loss terms, multiscale flag, and the spectrum weight beta."""
+    """Active loss terms, multiscale flag, and the loss weights beta (spectrum) and
+    layer_weight (every feature layer); active terms that all weigh 0 are rejected."""
 
     terms: tuple[str, ...] = ("gram",)
     multiscale: bool = False
     beta: float = losses.DEFAULT_BETA
     K: int = DEFAULT_K
+    layer_weight: float = losses.DEFAULT_LAYER_WEIGHT
 
     def __post_init__(self):
         bad = set(self.terms) - set(losses.TERM_NAMES)
@@ -47,10 +49,16 @@ class MethodVariant:
             raise InputError("variant needs at least one loss term")
         if self.K < 0:
             raise InputError(f"K must be >= 0, got {self.K}")
+        weights = {"beta": self.beta} if "spectrum" in self.terms else {}
+        if set(self.terms) & set(losses.FEATURE_TERMS):
+            weights["layer_weight"] = self.layer_weight
+        if not any(weights.values()):
+            raise InputError(f"variant {self.to_string()!r} has no term of nonzero weight: "
+                             + " and ".join(f"{name} is 0" for name in weights))
 
     @classmethod
-    def parse(cls, text: str, beta=None, K=None) -> "MethodVariant":
-        """Parse 'gram+spectrum+msinit' style strings."""
+    def parse(cls, text: str, **settings) -> "MethodVariant":
+        """Parse 'gram+spectrum+msinit' style strings; `settings` set the other fields."""
         tokens = [t for t in text.split("+") if t]
         bad = set(tokens) - _VARIANT_TOKENS
         if bad:
@@ -58,12 +66,7 @@ class MethodVariant:
         if len(tokens) != len(set(tokens)):
             raise InputError(f"repeated tokens in variant {text!r}")
         terms = tuple(t for t in tokens if t != "msinit")
-        kwargs = {}
-        if beta is not None:
-            kwargs["beta"] = float(beta)
-        if K is not None:
-            kwargs["K"] = int(K)
-        return cls(terms, "msinit" in tokens, **kwargs)
+        return cls(terms, "msinit" in tokens, **settings)
 
     def to_string(self) -> str:
         return "+".join(self.terms + (("msinit",) if self.multiscale else ()))
@@ -161,8 +164,7 @@ def _net_desc(network: netmod.Network) -> dict:
 def synth_single_scale(exemplar: Image, variant: MethodVariant,
                        network: netmod.Network | None, seed: int,
                        init: Image | None = None,
-                       lbfgs: optim.LbfgsConfig | None = None,
-                       layer_weight: float = losses.DEFAULT_LAYER_WEIGHT):
+                       lbfgs: optim.LbfgsConfig | None = None):
     """Optimize one scale; returns (Image, OptTrace, scale_record_dict).
 
     `init` defaults to white noise matched to the exemplar's channel
@@ -174,7 +176,7 @@ def synth_single_scale(exemplar: Image, variant: MethodVariant,
         init = white_noise(*data.shape, seed, data.mean(axis=(0, 1)), data.std(axis=(0, 1)))
     elif init.data.shape != data.shape:
         raise ValueError(f"init dims {init.data.shape} != exemplar dims {data.shape}")
-    targets = losses.compute_targets(exemplar, variant, network, layer_weight=layer_weight)
+    targets = losses.compute_targets(exemplar, variant, network)
     shape = init.data.shape
     latest = None  # (point, report) of the latest evaluation
 
@@ -203,9 +205,7 @@ def synth_single_scale(exemplar: Image, variant: MethodVariant,
 
 def synth_multiscale(exemplar: Image, variant: MethodVariant,
                      network: netmod.Network | None, seed: int,
-                     lbfgs: optim.LbfgsConfig | None = None,
-                     layer_weight: float = losses.DEFAULT_LAYER_WEIGHT,
-                     exemplar_path=None):
+                     lbfgs: optim.LbfgsConfig | None = None, exemplar_path=None):
     """Coarse-to-fine synthesis; returns (Image, SynthSession).
 
     With the multiscale flag off (or K = 0) this is exactly one
@@ -224,7 +224,7 @@ def synth_multiscale(exemplar: Image, variant: MethodVariant,
         K=K,
         seed=seed,
         net=_net_desc(network) if network is not None else None,
-        layer_weight=layer_weight,
+        layer_weight=variant.layer_weight,
         lbfgs=asdict(lbfgs),
         scales=[],
         output={"path": None, "bits": 16},
@@ -239,7 +239,7 @@ def synth_multiscale(exemplar: Image, variant: MethodVariant,
         else:
             init = upsample_bilinear(current, level.h, level.w)
         current, _, record = synth_single_scale(level, variant, network, seed, init=init,
-                                                lbfgs=lbfgs, layer_weight=layer_weight)
+                                                lbfgs=lbfgs)
         record["k"] = k
         session.scales.append(record)
     return current, session

@@ -742,6 +742,15 @@ class TestEvalDs:
         assert rc == 2
         assert stderr_payload(capsys)["error"] == "FileNotFoundError"
 
+    def test_a_synth_with_a_sample_above_maxval_exits_2_naming_it(self, tmp_path, capsys):
+        ex = save_rgb(tmp_path / "ex.ppm")
+        bad = tmp_path / "over.ppm"
+        bad.write_bytes(b"P6\n16 16\n15\n" + bytes([200]) + bytes(16 * 16 * 3 - 1))
+        rc = main(["eval-ds", "--exemplar", ex, "--synth", str(bad)])
+        assert rc == 2
+        assert stderr_payload(capsys) == {"error": "RasterFormatError",
+                                          "message": f"sample 200 above maxval 15 in {bad}"}
+
     @pytest.mark.parametrize("bad", ["tiny-synth", "gray-synth", "tiny-exemplar"])
     def test_an_image_the_search_cannot_take_exits_2_naming_the_file(
             self, tmp_path, capsys, bad):

@@ -1,5 +1,6 @@
 """Image container, resampling, pyramids, and PNM round trips."""
 
+import struct
 import sys
 
 import numpy as np
@@ -237,6 +238,22 @@ class TestPnmIO:
         path.write_bytes(b"P5\n2 2\n0\n" + bytes(4))
         with pytest.raises(RasterFormatError, match="maxval"):
             read_image(path)
+
+    @pytest.mark.parametrize("header, payload, named", [
+        (b"P5\n2 1\n15\n", bytes([15, 200]), "sample 200 above maxval 15"),
+        (b"P6\n1 1\n1000\n", struct.pack(">3H", 1000, 60000, 0), "sample 60000 above maxval 1000"),
+    ], ids=["8-bit", "16-bit"])
+    def test_a_sample_above_maxval_is_rejected(self, tmp_path, header, payload, named):
+        path = tmp_path / "t.pnm"
+        path.write_bytes(header + payload)
+        with pytest.raises(RasterFormatError) as info:
+            read_image(path)
+        assert str(info.value) == f"{named} in {path}"
+
+    def test_samples_at_maxval_read_as_1(self, tmp_path):
+        path = tmp_path / "t.ppm"
+        path.write_bytes(b"P6\n1 1\n1000\n" + struct.pack(">3H", 1000, 0, 500))
+        assert read_image(path).data.ravel().tolist() == [1.0, 0.0, 0.5]
 
     def test_png_read_maps_to_unit_range(self, tmp_path):
         PILImage = pytest.importorskip("PIL.Image")

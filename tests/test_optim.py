@@ -300,6 +300,33 @@ class TestTwoLoop:
         g = np.array([1.0, -2.0])
         assert np.allclose(two_loop_direction(g, [], 0.25), -0.25 * g)
 
+    @pytest.mark.parametrize("history", [0, 1, 10])
+    def test_the_bytes_are_those_of_the_copying_recursion(self, history):
+        # the recursion as written before it scaled and negated q in place
+        def copying(grad, pairs, gamma):
+            q = np.array(grad, dtype=np.float64, copy=True)
+            alphas = []
+            for s, y, rho in reversed(pairs):
+                a = rho * optim._dot(s, q)
+                q -= a * y
+                alphas.append(a)
+            r = gamma * q
+            for (s, y, rho), a in zip(pairs, reversed(alphas)):
+                b = rho * optim._dot(y, r)
+                r += (a - b) * s
+            return -r
+
+        rng = np.random.default_rng(history)
+        n = 4096
+        pairs = []
+        for _ in range(history):
+            s, y = rng.standard_normal(n), rng.standard_normal(n)
+            y = y if y @ s > 0 else -y
+            pairs.append((s, y, 1.0 / (y @ s)))
+        g = rng.standard_normal(n) * 1e3
+        got = two_loop_direction(g, pairs, 0.37)
+        assert got.tobytes() == copying(g, pairs, 0.37).tobytes()
+
 
 class TestNonFinite:
     def test_bad_start_point_raises(self):

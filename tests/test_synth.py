@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from texsynth import losses, optim, synth
-from texsynth.imagecore import Image, serialize_pnm
+from texsynth.imagecore import Image, InputError, serialize_pnm
 from texsynth.losses import compute_targets, spectrum_loss, spectrum_target
 from texsynth.net import LayerSpec, Network, make_network, random_weights
 from texsynth.optim import LbfgsConfig
@@ -68,6 +68,30 @@ class TestVariant:
         with pytest.raises(ValueError, match="K must be"):
             MethodVariant(("gram",), K=-1)
 
+    def test_unknown_term_rejected(self):
+        with pytest.raises(InputError, match=r"^unknown loss terms: \['wavelet'\]$"):
+            MethodVariant(("gram", "wavelet"))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: MethodVariant(("spectrum",), beta=0.0),
+         "variant 'spectrum' has no term of nonzero weight: beta is 0"),
+        (lambda: MethodVariant(("gram",), layer_weight=0.0),
+         "variant 'gram' has no term of nonzero weight: layer_weight is 0"),
+        (lambda: MethodVariant.parse("autocorr+msinit", layer_weight=0.0),
+         "variant 'autocorr+msinit' has no term of nonzero weight: layer_weight is 0"),
+    ], ids=["spectrum", "gram", "autocorr+msinit"])
+    def test_active_terms_that_all_weigh_0_are_rejected(self, make, message):
+        # with the message the CLI prints for the same options
+        with pytest.raises(InputError) as info:
+            make()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("terms, zeros", [
+        (("gram", "spectrum"), {"beta": 0.0}), (("spectrum",), {"layer_weight": 0.0}),
+    ])
+    def test_one_term_of_nonzero_weight_is_enough(self, terms, zeros):
+        assert MethodVariant(terms, **zeros).terms == terms
+
 
 class TestWhiteNoise:
     def test_default_is_unit_uniform(self):
@@ -98,7 +122,7 @@ class TestStatsLayers:
         net = make_network(in_channels=3, seed=0)
         targets = compute_targets(periodic_rgb(n), MethodVariant(("gram", "autocorr")), net,
                                   layers=stats_layers)
-        assert list(targets.gram.stats) == list(targets.autocorr.stats) == targets.stats_layers
+        assert list(targets.gram) == list(targets.autocorr) == targets.stats_layers
         return targets.stats_layers, targets.dropped_layers
 
     def test_tiny_input_drops_deep_layers(self):

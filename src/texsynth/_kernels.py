@@ -1,5 +1,6 @@
 """Hot numeric kernels in plain numpy: 3x3 convolution, its adjoint, and
-exact patch search.
+exact patch search; and `openblas_function`, the one lookup of the OpenBLAS
+numpy runs on.
 
 The convolutions run as nine shifted matrix products, one per kernel tap.
 The taps are copied to one contiguous (3, 3, ci, co) block first, so each
@@ -35,6 +36,8 @@ bit for bit, whatever the BLAS summation order or thread count.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
@@ -237,3 +240,26 @@ def displacement_search(synth: np.ndarray, exemplar: np.ndarray, patch: int) -> 
     ys, xs = np.divmod(np.arange(len(best)), s_cols)
     eys, exs = np.divmod(best, e_cols)
     return np.stack([eys - ys, exs - xs], axis=1).reshape(len(best) // s_cols, s_cols, 2)
+
+
+def openblas_function(name: str):
+    """OpenBLAS's `name` (e.g. "get_corename") as a ctypes function of the
+    library numpy loaded, or None if no OpenBLAS of it is found.
+
+    The library and its symbol prefix are found as threadpoolctl finds them
+    (https://github.com/joblib/threadpoolctl): the mapped files named
+    openblas, then the scipy-openblas and plain symbols, 64-bit first.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line and ".so" in line}
+        for lib in sorted(libs):
+            dll = ctypes.CDLL(lib)
+            for prefix in ("scipy_openblas_", "openblas_"):
+                for suffix in ("64_", ""):
+                    function = getattr(dll, prefix + name + suffix, None)
+                    if function is not None:
+                        return function
+    except OSError:
+        pass
+    return None

@@ -14,17 +14,22 @@ image whose size cannot take --scales; eval-ds names the image smaller than
 a patch, or the synth whose channel count differs from the exemplar's;
 project-spectrum names an --image whose shape differs from the exemplar's.
 Before any read, every command checks each value by its name's RULES entry
-(and synth's variant and K) and each path by its INPUTS or OUTPUTS role: an
-output that is the same file as an input or as another output, that is a
-directory, or whose directory does not exist, exits 2. So does an eval-ds
+(MethodVariant checks synth's variant, K and loss weights) and each path by
+its INPUTS or OUTPUTS role: an output that is the same file as an input or
+as another output, that is a directory, or whose directory does not exist,
+exits 2. So does an eval-ds
 --disp-dir that is not a directory or would be made under a regular file; a
 missing one is created.
 `-` means stdout only as the --out of eval-ds, eval-klw and bt-fit; every
 other path `-` is a file. The eval commands score one image at a time, and
-BLAS threads (OPENBLAS_NUM_THREADS) are their only parallelism.
+BLAS threads (OPENBLAS_NUM_THREADS) are their only parallelism. synth runs its
+loss terms on the host's other CPUs, beside the network, for images of at
+least losses.POOL_MIN_VALUES values, and then holds OpenBLAS at 1 thread; no
+output byte depends on the CPU or thread count.
 On glibc, main first fixes malloc's mmap and trim thresholds at the values its
 dynamic rule ends in, so loss evaluations reuse heap pages instead of faulting
-them in afresh; no output byte depends on it, and elsewhere it does nothing.
+them in afresh, and allows one arena, which the loss workers share; no output
+byte depends on it, and elsewhere it does nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ import ctypes
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -61,7 +65,6 @@ class ReplayMismatch(Exception):
 RULES = {
     **dict.fromkeys(("seed", "net_seed", "iterations", "history", "grad_tol"),
                     (">= 0", lambda v: v >= 0)),  # False for a NaN grad_tol
-    **dict.fromkeys(("beta", "layer_weight"), ("finite and >= 0", lambda v: 0 <= v < math.inf)),
     "bits": ("8 or 16", lambda v: v in (8, 16)),
     "pool": ("avg or max", lambda v: v in ("avg", "max")),
     "patch": ("odd and >= 1", lambda v: v >= 1 and v % 2 == 1),
@@ -501,7 +504,7 @@ def cmd_selftest(args) -> int:
 
 
 # glibc's mallopt(3) parameters, and the largest mmap threshold its dynamic rule reaches
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 MMAP_THRESHOLD_MAX = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
 
 
@@ -509,7 +512,9 @@ def tune_malloc() -> None:
     """Start glibc malloc where its dynamic threshold rule ends: mmap above
     MMAP_THRESHOLD_MAX, trim above twice that. At the rule's start the heap
     top is given back after each loss evaluation and faulted in again by the
-    next. Both are set or neither, since either call stops the rule; without
+    next. Both are set or neither, since either call stops the rule. Then
+    allow one arena, so that the loss workers allocate from the main heap:
+    a second arena would keep up to the trim threshold besides. Without
     glibc's mallopt this does nothing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -518,6 +523,7 @@ def tune_malloc() -> None:
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX):
         mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_MAX)
+    mallopt(M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

@@ -25,15 +25,26 @@ multiplicity m is 1); every other column also stands for its mirror
 (m = 2). A sum over the full spectrum is the m-weighted sum over the half
 one. The total loss is gram + beta * spectrum + autocorr over whichever
 terms a variant activates.
+
+total_loss runs the terms beside the network: the spectrum term and each
+statistics layer's feature terms are tasks for a pool of one thread per
+further CPU the process may use, while the calling thread runs the forward
+pass and the pullback, which needs the first layer's cotangent last. Images
+under POOL_MIN_VALUES values, and hosts of one CPU, run every task inline.
+Once the pool is made, OpenBLAS runs at 1 thread. The results are combined
+in one fixed order, so no byte depends on the CPU or thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import net as netmod
+from . import _kernels, net as netmod
 from .imagecore import Image, InputError, as_array as _as_array
 
 DEFAULT_BETA = 1e5
@@ -256,34 +267,148 @@ def compute_targets(exemplar, cfg, network=None, layers=None) -> StatTargets:
     return StatTargets(**found, dropped_layers=dropped)
 
 
+# Images of fewer values than this evaluate every term inline: handing the
+# terms of a 64^2 RGB image (12288 values) or smaller to a worker costs about
+# what it saves. A 128^2 RGB image (49152) uses the pool.
+POOL_MIN_VALUES = 32768
+# the pool's threads: one per CPU this process may run on, less the caller's
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1) - 1
+_pool = None
+_pool_lock = threading.Lock()  # two callers on two threads make one pool
+
+
+def worker_pool(values: int):
+    """The module's pool of WORKERS threads for the terms of an image of
+    `values` values, or None to evaluate them inline: below POOL_MIN_VALUES,
+    or with no worker to spare. The pool is made on first use, and from
+    then on OpenBLAS runs at 1 thread: its idle threads would spin on the
+    cores the workers need. No byte depends on either thread count."""
+    global _pool
+    if values < POOL_MIN_VALUES or WORKERS < 1:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            set_threads = _kernels.openblas_function("set_num_threads")
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+            _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="texsynth-loss")
+        return _pool
+
+
+class _Task:
+    """fn(*args), handed to `pool` at once, or run inline when first needed
+    without one; a task the pool has not started by then is cancelled and
+    run by the caller. The result is kept for later reads."""
+
+    def __init__(self, pool, fn, *args):
+        self._call = fn, args
+        self._future = None if pool is None else pool.submit(fn, *args)
+
+    def result(self):
+        if self._call is not None:
+            fn, args = self._call
+            if self._future is None or self._future.cancel():
+                self._result = fn(*args)
+            else:
+                self._result = self._future.result()
+            self._call = self._future = None
+        return self._result
+
+    def cancel(self) -> None:
+        if self._future is not None:
+            self._future.cancel()
+
+
+def _layer_terms(name, f, active: dict, weight):
+    """Value of each `active` term ({term: target}) whose target has layer
+    `name`, at activation f, and their cotangents summed in that order."""
+    # looked up per call, so that rebinding a module-level name takes effect
+    term_losses = {"gram": gram_loss, "autocorr": autocorr_loss}
+    values, cot = {}, None
+    for term, target in active.items():
+        if name in target:
+            values[term], cots = term_losses[term]({name: f}, {name: target[name]}, weight)
+            cot = cots[name] if cot is None else cot + cots[name]
+    return values, cot
+
+
+class _Cotangents(dict):
+    """{layer: layer task}, read as {layer: cotangent}: a task's result is
+    waited for when the pullback reaches its layer."""
+
+    def __getitem__(self, name):
+        return super().__getitem__(name).result()[1]
+
+
 def total_loss(img, cfg, targets: StatTargets, network=None) -> LossReport:
-    """Combined loss and image gradient of cfg.terms, weighted by cfg.layer_weight and cfg.beta."""
+    """Combined loss and image gradient of cfg.terms, weighted by cfg.layer_weight and cfg.beta.
+
+    The spectrum term and each statistics layer's feature terms are tasks
+    for worker_pool: the spectrum's first, then the first layer's as soon
+    as the forward pass makes it, then the others deepest first. Their
+    results are combined in one fixed order, whichever thread ran them:
+    each term's value summed from 0.0 over its layers, each layer's
+    cotangents gram first, the spectrum gradient added last. So no byte
+    depends on the thread count.
+    """
     data = _as_array(img)
+    return _evaluate(data, cfg, targets, network, worker_pool(data.size))
+
+
+def _evaluate(data, cfg, targets: StatTargets, network, pool) -> LossReport:
+    """total_loss of `data`, its tasks handed to `pool`, or run inline if it is None."""
     terms = set(cfg.terms)
     for term in TERM_NAMES:
         if term in terms and getattr(targets, term) is None:
             raise ValueError(f"{term} term active but no {term} target")
     report_terms = {}
     grad = spectrum_distance = None
+    tasks = []
 
-    active = {term: getattr(targets, term) for term in FEATURE_TERMS if term in terms}
-    if active:
-        feats, pull = netmod.forward_with_pullback(network, data, targets.stats_layers)
-        cots = {}
-        # looked up per call, so that rebinding a module-level name takes effect
-        term_losses = {"gram": gram_loss, "autocorr": autocorr_loss}
-        for term, target in active.items():
-            sub = {name: feats[name] for name in target}
-            value, term_cots = term_losses[term](sub, target, cfg.layer_weight)
-            report_terms[term] = value
-            for name, c in term_cots.items():
-                cots[name] = cots[name] + c if name in cots else c
-        grad = pull(cots)
+    def task(fn, *args):
+        tasks.append(_Task(pool, fn, *args))
+        return tasks[-1]
 
-    if "spectrum" in terms:
-        spectrum_distance, sgrad = spectrum_loss(data, targets.spectrum)
-        report_terms["spectrum"] = cfg.beta * spectrum_distance
-        grad = cfg.beta * sgrad if grad is None else grad + cfg.beta * sgrad
+    try:
+        if "spectrum" in terms:  # first: it needs no network
+            spectrum = task(spectrum_loss, data, targets.spectrum)
+        active = {term: getattr(targets, term) for term in FEATURE_TERMS if term in terms}
+        if active:
+            layers, deeper = {}, []
+
+            def submit(name, f):
+                layers[name] = task(_layer_terms, name, f, active, cfg.layer_weight)
+
+            def made(name, f):
+                # the first layer's terms go at once, since the pullback needs them
+                # last; the others when the forward ends, in the order it needs them
+                if layers:
+                    deeper.append((name, f))
+                else:
+                    submit(name, f)
+
+            wanted = [name for name in targets.stats_layers
+                      if any(name in target for target in active.values())]
+            _, pull = netmod.forward_with_pullback(network, data, wanted, made)
+            for name, f in reversed(deeper):
+                submit(name, f)
+            grad = pull(_Cotangents(layers))
+            for term, target in active.items():
+                value = 0.0
+                for name in target:
+                    value += layers[name].result()[0][term]
+                report_terms[term] = value
+        if "spectrum" in terms:
+            spectrum_distance, sgrad = spectrum.result()
+            report_terms["spectrum"] = cfg.beta * spectrum_distance
+            grad = cfg.beta * sgrad if grad is None else grad + cfg.beta * sgrad
+    finally:
+        for queued in tasks:  # none is left queued when a term raises
+            queued.cancel()
 
     total = float(sum(report_terms.values()))
     return LossReport(total, report_terms, grad, spectrum_distance)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 import struct
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,9 +287,10 @@ def _layer(net: Network, spec: LayerSpec, x: np.ndarray):
     return out, lambda g: _unpool2((np.where(arg == i, g, 0.0) for i in range(4)), shape)
 
 
-def _run(net: Network, img, wanted):
+def _run(net: Network, img, wanted, each=None):
     """Run the chain on img: the outputs of the `wanted` layers, keyed by
-    name, and the tape of (name, output shape, adjoint)."""
+    name, and the tape of (name, output shape, adjoint). `each(name, output)`,
+    if given, is called as each wanted layer's output is made."""
     x = as_array(img)
     if x.ndim != 3 or x.shape[2] != net.in_channels:
         raise ValueError(
@@ -305,6 +307,8 @@ def _run(net: Network, img, wanted):
         tape.append((spec.name, x.shape, adjoint))
         if spec.name in wanted:
             acts[spec.name] = x
+            if each is not None:
+                each(spec.name, x)
     return acts, tape
 
 
@@ -313,32 +317,36 @@ def forward(net: Network, img, wanted) -> dict[str, np.ndarray]:
     return _run(net, img, wanted)[0]
 
 
-def forward_with_pullback(net: Network, img, wanted):
+def forward_with_pullback(net: Network, img, wanted, each=None):
     """Activations plus a closure mapping per-layer cotangents to the
     input-image gradient of sum_l <cotangents[l], f_l(img)>.
 
-    One forward pass total; the closure walks the tape of layer adjoints in
+    One forward pass total, calling `each(name, activation)` as each wanted
+    layer is made, if given; the closure walks the tape of layer adjoints in
     reverse and is the exact adjoint of forward: ReLU passes zero at zero,
     average pooling spreads by the window's true pixel count, max pooling
-    routes to the first maximum.
+    routes to the first maximum. It reads the cotangents' keys first and
+    each value only when the walk reaches its layer, so a mapping may make
+    its values late; the first layer is reached last.
     """
-    acts, tape = _run(net, img, wanted)
-    shapes = {name: shape for name, shape, _ in tape}
+    acts, tape = _run(net, img, wanted, each)
+    layers = {name for name, _, _ in tape}
 
-    def pull(cotangents: dict[str, np.ndarray]) -> np.ndarray:
-        unknown = set(cotangents) - set(shapes)
+    def pull(cotangents: Mapping[str, np.ndarray]) -> np.ndarray:
+        names = set(cotangents)
+        unknown = names - layers
         if unknown:
             raise ValueError(f"cotangents for unknown layers: {sorted(unknown)}")
-        for name, cot in cotangents.items():
-            if tuple(np.shape(cot)) != shapes[name]:
-                raise ValueError(
-                    f"cotangent shape {np.shape(cot)} at {name} does not match "
-                    f"activation shape {shapes[name]}"
-                )
         grad = None
-        for name, _, adjoint in reversed(tape):
-            if name in cotangents:
-                cot = np.asarray(cotangents[name], dtype=np.float64)
+        for name, shape, adjoint in reversed(tape):
+            if name in names:
+                cot = cotangents[name]
+                if tuple(np.shape(cot)) != shape:
+                    raise ValueError(
+                        f"cotangent shape {np.shape(cot)} at {name} does not match "
+                        f"activation shape {shape}"
+                    )
+                cot = np.asarray(cot, dtype=np.float64)
                 grad = cot if grad is None else grad + cot
             if grad is not None:
                 grad = adjoint(grad)

@@ -142,6 +142,22 @@ def _check_displacement_search() -> tuple[bool, str]:
     return differ == 0, f"{differ} of {fast.shape[0] * fast.shape[1]} offsets differ"
 
 
+def _check_worker_pool() -> tuple[bool, str]:
+    # just above the pool threshold: 105 * 105 * 3 = 33075 values
+    rng = np.random.default_rng(13)
+    specs = (netmod.LayerSpec("c1", "conv3x3", 3, 2), netmod.LayerSpec("p1", "pool2", 2, 2))
+    network = netmod.Network(specs, netmod.random_weights(specs, 17))
+    exemplar, x = rng.random((105, 105, 3)), rng.random((105, 105, 3))
+    variant = synth.MethodVariant(("gram", "spectrum", "autocorr"))
+    targets = losses.compute_targets(exemplar, variant, network, layers=["c1", "p1"])
+    pooled = losses.worker_pool(x.size) is not None
+    reports = [losses.total_loss(x, variant, targets, network),
+               losses._evaluate(x, variant, targets, network, None)]
+    same = len({(r.total, tuple(r.terms.items()), r.grad.tobytes()) for r in reports}) == 1
+    where = f"{losses.WORKERS} worker(s)" if pooled else "no worker to spare, both inline"
+    return same, f"{where}: total, terms and gradient bytes {'equal' if same else 'differ'}"
+
+
 CHECKS = (
     ("total-loss gradient vs central differences", _check_total_loss_gradient),
     ("fft autocorrelation vs direct wraparound sum", _check_wiener_khinchin),
@@ -150,6 +166,7 @@ CHECKS = (
     ("paired-comparison two-method closed form", _check_bt_closed_form),
     ("optimizer on rosenbrock", _check_optimizer),
     ("patch search vs direct per-pixel loop on a periodic pair", _check_displacement_search),
+    ("loss terms on the worker pool vs inline", _check_worker_pool),
 )
 
 

@@ -18,11 +18,12 @@ import ctypes
 import functools
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__, losses, net as netmod, optim
+from . import __version__, _kernels, losses, net as netmod, optim
 from .imagecore import Image, InputError, build_pyramid, serialize_pnm, upsample_bilinear
 
 DEFAULT_K = 2
@@ -33,7 +34,8 @@ _VARIANT_TOKENS = {*losses.TERM_NAMES, "msinit"}
 @dataclass(frozen=True)
 class MethodVariant:
     """Active loss terms, multiscale flag, and the loss weights beta (spectrum) and
-    layer_weight (every feature layer); active terms that all weigh 0 are rejected."""
+    layer_weight (every feature layer). Each weight must be finite and >= 0,
+    and active terms that all weigh 0 are rejected."""
 
     terms: tuple[str, ...] = ("gram",)
     multiscale: bool = False
@@ -49,6 +51,10 @@ class MethodVariant:
             raise InputError("variant needs at least one loss term")
         if self.K < 0:
             raise InputError(f"K must be >= 0, got {self.K}")
+        for name in ("beta", "layer_weight"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # False for a NaN
+                raise InputError(f"{name} must be finite and >= 0, got {value!r}")
         weights = {"beta": self.beta} if "spectrum" in self.terms else {}
         if set(self.terms) & set(losses.FEATURE_TERMS):
             weights["layer_weight"] = self.layer_weight
@@ -108,22 +114,12 @@ def blas_kernel() -> str:
 
 
 def _openblas_core() -> str:
-    """The core of the OpenBLAS numpy loaded, read as threadpoolctl reads it
-    (https://github.com/joblib/threadpoolctl): from its get_corename symbol."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line and ".so" in line}
-        for lib in sorted(libs):
-            dll = ctypes.CDLL(lib)
-            for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                           "openblas_get_corename64_", "openblas_get_corename"):
-                corename = getattr(dll, symbol, None)
-                if corename is not None:
-                    corename.argtypes, corename.restype = [], ctypes.c_char_p
-                    return (corename() or b"unknown").decode(errors="replace")
-    except OSError:
-        pass
-    return "unknown"
+    """The core of the OpenBLAS numpy loaded, from its get_corename."""
+    corename = _kernels.openblas_function("get_corename")
+    if corename is None:
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return (corename() or b"unknown").decode(errors="replace")
 
 
 @dataclass

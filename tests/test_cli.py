@@ -353,6 +353,33 @@ class TestSynth:
                             session))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs sched_setaffinity and 2 CPUs")
+    @pytest.mark.parametrize("extra", [
+        ["--variant", "gram+autocorr+msinit", "--K", "1", "--pool", "max", "--iterations", "8"],
+        ["--variant", "gram+spectrum+autocorr", "--iterations", "6"],
+    ], ids=["msinit", "autocorr"])
+    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, extra):
+        # 128^2 RGB is above losses.POOL_MIN_VALUES, and the msinit run's 64^2 level below
+        rng = np.random.default_rng(128)
+        write_image(Image(rng.random((128, 128, 3))), tmp_path / "ex.ppm", bits=16)
+        cpu = min(os.sched_getaffinity(0))
+        outputs = []
+        for name, restrict in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+            out = tmp_path / name
+            out.mkdir()
+            subprocess.run(
+                [sys.executable, "-m", "texsynth.cli", "synth",
+                 "--exemplar", str(tmp_path / "ex.ppm"), "--out", str(out / "s.ppm"),
+                 "--curve", str(out / "curve.csv"), "--seed", "1"] + extra,
+                env=blas_env(), preexec_fn=restrict, check=True, timeout=300,
+                capture_output=True,
+            )
+            session = (out / "s.session.json").read_text().replace(str(out), "OUT")
+            outputs.append(((out / "s.ppm").read_bytes(), (out / "curve.csv").read_bytes(),
+                            session))
+        assert outputs[0] == outputs[1]
+
     def test_a_replay_under_another_blas_kernel_exits_1_naming_it(self, tmp_path):
         config = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
         if "DYNAMIC_ARCH" not in config.get("blas", {}).get("openblas configuration", ""):
@@ -1470,8 +1497,9 @@ def test_an_option_out_of_range_exits_2_naming_it_before_any_read(
 
 
 # the options neither RULES nor the role tables cover: image_id is free text, filter
-# FILTERS' to check, variant and K MethodVariant's, and disp_dir the directory eval-ds makes
-FREE_OPTIONS = ("image_id", "filter", "variant", "K", "disp_dir")
+# FILTERS' to check, variant, K and the two loss weights MethodVariant's, and disp_dir
+# the directory eval-ds makes
+FREE_OPTIONS = ("image_id", "filter", "variant", "K", "beta", "layer_weight", "disp_dir")
 
 
 def test_every_option_is_in_one_table_and_every_table_entry_is_an_option():
@@ -1616,8 +1644,8 @@ def fake_cdll(monkeypatch, libc):
 
 
 @pytest.mark.parametrize("accepted, wanted", [
-    (1, [(-3, MMAP_THRESHOLD_MAX), (-1, 2 * MMAP_THRESHOLD_MAX)]),
-    (0, [(-3, MMAP_THRESHOLD_MAX)]),
+    (1, [(-3, MMAP_THRESHOLD_MAX), (-1, 2 * MMAP_THRESHOLD_MAX), (-8, 1)]),
+    (0, [(-3, MMAP_THRESHOLD_MAX), (-8, 1)]),
 ], ids=["both", "neither-once-the-mmap-threshold-is-refused"])
 def test_tune_malloc_sets_the_mmap_then_the_trim_threshold(monkeypatch, accepted, wanted):
     calls = []

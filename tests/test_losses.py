@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from texsynth import losses
 from texsynth.imagecore import Image
 from texsynth.losses import (
     autocorr_loss,
@@ -25,7 +28,7 @@ from texsynth.losses import (
     total_loss,
 )
 from texsynth.net import (LayerSpec, Network, forward as net_forward, forward_with_pullback,
-                          random_weights)
+                          make_network, random_weights)
 from texsynth.synth import MethodVariant
 
 
@@ -514,3 +517,151 @@ def test_tracer_hooks_fire_on_the_cli_path(tmp_path):
     assert rc == 0
     assert {"cli.main", "imagecore.read", "imagecore.write", "imagecore.pyramid",
             "imagecore.upsample", "synth.multiscale", "optim.minimize"} <= set(names)
+
+
+# Sizes either side of losses.POOL_MIN_VALUES (32768): 96^2 RGB and 112^2 gray
+# below it, 112^2 RGB and 192^2 gray above it.
+POOL_CASES = [(96, 3), (112, 1), (112, 3), (192, 1)]
+TERM_SETS = ["gram", "spectrum", "autocorr", "gram+spectrum", "gram+autocorr",
+             "spectrum+autocorr", "gram+spectrum+autocorr"]
+
+
+def report_bytes(report):
+    return (report.total, report.terms, report.spectrum_distance, report.grad.tobytes())
+
+
+def loss_case(size, channels, pool, variant):
+    rng = np.random.default_rng([size, channels])
+    ex, img = rng.random((size, size, channels)), rng.random((size, size, channels))
+    network = make_network(in_channels=channels, seed=0, pool=pool)
+    cfg = MethodVariant.parse(variant)
+    return img, cfg, compute_targets(ex, cfg, network), network
+
+
+@pytest.mark.parametrize("pool", ["avg", "max"])
+@pytest.mark.parametrize("variant", TERM_SETS)
+def test_the_worker_pool_moves_no_byte(monkeypatch, variant, pool):
+    for size, channels in POOL_CASES:
+        img, cfg, targets, network = loss_case(size, channels, pool, variant)
+        monkeypatch.setattr(losses, "WORKERS", 0)
+        inline = total_loss(img, cfg, targets, network)
+        monkeypatch.setattr(losses, "WORKERS", 1)
+        assert (losses.worker_pool(img.size) is None) == (img.size < losses.POOL_MIN_VALUES)
+        pooled = total_loss(img, cfg, targets, network)
+        assert report_bytes(pooled) == report_bytes(inline)
+        assert list(pooled.terms) == [t for t in ("gram", "autocorr", "spectrum")
+                                      if t in cfg.terms]
+
+
+@pytest.mark.parametrize("pool", ["avg", "max"])
+@pytest.mark.parametrize("size", [64, 112], ids=["inline", "pooled"])
+def test_four_layer_sums_have_the_bytes_of_the_all_layer_term_functions(monkeypatch, size, pool):
+    # the per-layer tasks add each term's four layer values in the order
+    # gram_loss and autocorr_loss add them over all layers at once
+    monkeypatch.setattr(losses, "WORKERS", 1)
+    img, cfg, targets, network = loss_case(size, 3, pool, "gram+spectrum+autocorr")
+    report = total_loss(img, cfg, targets, network)
+    total, values, grad = zero_filled_total_loss(img, cfg, targets, network)
+    assert (report.total, report.terms) == (total, values)
+    assert report.grad.tobytes() == grad.tobytes()
+
+
+def test_tasks_the_worker_has_not_started_are_run_by_the_caller(monkeypatch):
+    img, cfg, targets, network = loss_case(112, 3, "avg", "gram+spectrum+autocorr")
+    inline = losses._evaluate(img, cfg, targets, network, None)
+    ran_on = set()
+    for name in ("gram_loss", "autocorr_loss", "spectrum_loss"):
+        def record(*args, fn=getattr(losses, name)):
+            ran_on.add(threading.get_ident())
+            return fn(*args)
+
+        monkeypatch.setattr(losses, name, record)
+    hold = threading.Event()
+    with ThreadPoolExecutor(1) as pool:
+        held = pool.submit(hold.wait, 60)  # the one worker waits until every task is cancelled
+        try:
+            report = losses._evaluate(img, cfg, targets, network, pool)
+        finally:
+            hold.set()
+        assert held.result(timeout=60)
+    assert ran_on == {threading.get_ident()}
+    assert report_bytes(report) == report_bytes(inline)
+
+
+def test_a_task_the_worker_ran_keeps_the_workers_result():
+    with ThreadPoolExecutor(1) as pool:
+        task = losses._Task(pool, threading.get_ident)
+        task._future.result()  # finished, so it cannot be cancelled
+        assert task.result() != threading.get_ident()
+        assert task.result() == task.result()
+    assert losses._Task(None, threading.get_ident).result() == threading.get_ident()
+
+
+def test_a_failing_task_reaches_the_caller_and_no_task_is_left_queued(monkeypatch):
+    img, cfg, targets, network = loss_case(112, 3, "avg", "gram+spectrum+autocorr")
+
+    def fail(*args):
+        raise RuntimeError("term failed")
+
+    monkeypatch.setattr(losses, "autocorr_loss", fail)
+    hold = threading.Event()
+    with ThreadPoolExecutor(1) as pool:
+        held = pool.submit(hold.wait, 60)
+        futures = []
+        submit = pool.submit
+        monkeypatch.setattr(pool, "submit", lambda *a: futures.append(submit(*a)) or futures[-1])
+        try:
+            with pytest.raises(RuntimeError, match="term failed"):
+                losses._evaluate(img, cfg, targets, network, pool)
+        finally:
+            hold.set()
+        assert held.result(timeout=60)
+    assert futures and all(f.cancelled() for f in futures)
+
+
+def test_the_bytes_hold_with_more_workers_than_cpus_switching_often():
+    img, cfg, targets, network = loss_case(112, 3, "max", "gram+spectrum+autocorr")
+    inline = report_bytes(losses._evaluate(img, cfg, targets, network, None))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2 * (os.cpu_count() or 1)) as pool:
+            for _ in range(5):
+                assert report_bytes(losses._evaluate(img, cfg, targets, network, pool)) == inline
+    finally:
+        sys.setswitchinterval(interval)
+
+
+POOL_IMPORT = textwrap.dedent("""
+    import json
+    import sys
+
+    import numpy as np
+
+    from texsynth import _kernels, losses, net, synth
+
+    threads = _kernels.openblas_function("get_num_threads")
+    seen = []
+    for size in (64, 128):
+        rng = np.random.default_rng(size)
+        ex, img = rng.random((size, size, 3)), rng.random((size, size, 3))
+        network = net.make_network(seed=0)
+        variant = synth.MethodVariant.parse("gram+spectrum")
+        losses.total_loss(img, variant, losses.compute_targets(ex, variant, network), network)
+        seen.append(["concurrent.futures" in sys.modules, threads and threads()])
+    print(json.dumps(seen))
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the worker pool needs 2 CPUs")
+def test_the_pool_is_made_above_the_threshold_and_holds_openblas_at_1_thread():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**{k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")},
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", POOL_IMPORT], capture_output=True, text=True,
+                          check=True, timeout=120, env=env)
+    (small_pool, small_threads), (large_pool, large_threads) = json.loads(proc.stdout)
+    assert not small_pool and large_pool
+    assert large_threads in (None, 1)
+    assert small_threads is None or small_threads > 1

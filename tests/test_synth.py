@@ -1,6 +1,7 @@
 """Synthesis driver: variants, noise init, sessions, and behavior."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,18 @@ class TestVariant:
     ])
     def test_one_term_of_nonzero_weight_is_enough(self, terms, zeros):
         assert MethodVariant(terms, **zeros).terms == terms
+
+    @pytest.mark.parametrize("terms, name, value", [
+        (("spectrum",), "beta", -1.0), (("spectrum",), "beta", math.nan),
+        (("spectrum",), "beta", math.inf), (("gram",), "beta", -math.inf),
+        (("gram",), "layer_weight", -5.0), (("autocorr",), "layer_weight", math.nan),
+        (("spectrum",), "layer_weight", math.inf),
+    ])
+    def test_a_negative_or_non_finite_weight_is_rejected(self, terms, name, value):
+        # whether or not its term is active, with the message the CLI prints
+        with pytest.raises(InputError) as info:
+            MethodVariant(terms, **{name: value})
+        assert str(info.value) == f"{name} must be finite and >= 0, got {value!r}"
 
 
 class TestWhiteNoise:

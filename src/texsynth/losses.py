@@ -267,9 +267,12 @@ def compute_targets(exemplar, cfg, network=None, layers=None) -> StatTargets:
     return StatTargets(**found, dropped_layers=dropped)
 
 
-# Images of fewer values than this evaluate every term inline: handing the
-# terms of a 64^2 RGB image (12288 values) or smaller to a worker costs about
-# what it saves. A 128^2 RGB image (49152) uses the pool.
+# Images of fewer values than this evaluate every term inline. With the pool
+# at every size, the 64^2 gram+spectrum+msinit K=2 benchmark run (levels of
+# 16^2 to 64^2 RGB, at most 12288 values) took 2.36 s against 1.95 s inline,
+# slower in 10 of 10 alternating pairs on a 2-CPU Xeon host. There a 128^2 RGB
+# evaluation (49152 values) took 23.0 ms pooled against 29.0 ms inline for
+# gram+spectrum+autocorr, and 22.5 against 24.0 ms for gram+spectrum.
 POOL_MIN_VALUES = 32768
 # the pool's threads: one per CPU this process may run on, less the caller's
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -283,7 +286,9 @@ def worker_pool(values: int):
     `values` values, or None to evaluate them inline: below POOL_MIN_VALUES,
     or with no worker to spare. The pool is made on first use, and from
     then on OpenBLAS runs at 1 thread: its idle threads would spin on the
-    cores the workers need. No byte depends on either thread count."""
+    cores the workers need. The pin holds for the rest of the process,
+    over any OPENBLAS_NUM_THREADS, so later BLAS work there, texsynth's or
+    not, runs on one thread. No byte depends on either thread count."""
     global _pool
     if values < POOL_MIN_VALUES or WORKERS < 1:
         return None
@@ -348,12 +353,13 @@ def total_loss(img, cfg, targets: StatTargets, network=None) -> LossReport:
     """Combined loss and image gradient of cfg.terms, weighted by cfg.layer_weight and cfg.beta.
 
     The spectrum term and each statistics layer's feature terms are tasks
-    for worker_pool: the spectrum's first, then the first layer's as soon
-    as the forward pass makes it, then the others deepest first. Their
+    for worker_pool: the spectrum's first, then each layer's as soon as
+    the forward pass makes it. Their
     results are combined in one fixed order, whichever thread ran them:
     each term's value summed from 0.0 over its layers, each layer's
     cotangents gram first, the spectrum gradient added last. So no byte
-    depends on the thread count.
+    depends on the thread count. An evaluation that uses the pool leaves
+    the process at 1 OpenBLAS thread for good (see worker_pool).
     """
     data = _as_array(img)
     return _evaluate(data, cfg, targets, network, worker_pool(data.size))
@@ -378,24 +384,14 @@ def _evaluate(data, cfg, targets: StatTargets, network, pool) -> LossReport:
             spectrum = task(spectrum_loss, data, targets.spectrum)
         active = {term: getattr(targets, term) for term in FEATURE_TERMS if term in terms}
         if active:
-            layers, deeper = {}, []
+            layers = {}
 
             def submit(name, f):
                 layers[name] = task(_layer_terms, name, f, active, cfg.layer_weight)
 
-            def made(name, f):
-                # the first layer's terms go at once, since the pullback needs them
-                # last; the others when the forward ends, in the order it needs them
-                if layers:
-                    deeper.append((name, f))
-                else:
-                    submit(name, f)
-
             wanted = [name for name in targets.stats_layers
                       if any(name in target for target in active.values())]
-            _, pull = netmod.forward_with_pullback(network, data, wanted, made)
-            for name, f in reversed(deeper):
-                submit(name, f)
+            _, pull = netmod.forward_with_pullback(network, data, wanted, submit)
             grad = pull(_Cotangents(layers))
             for term, target in active.items():
                 value = 0.0

@@ -24,7 +24,7 @@ missing one is created.
 other path `-` is a file. The eval commands score one image at a time, and
 BLAS threads (OPENBLAS_NUM_THREADS) are their only parallelism. synth runs its
 loss terms on the host's other CPUs, beside the network, for images of at
-least losses.POOL_MIN_VALUES values, and then holds OpenBLAS at 1 thread; no
+least losses.POOL_MIN_PIXELS pixels, and then holds OpenBLAS at 1 thread; no
 output byte depends on the CPU or thread count.
 On glibc, main first fixes malloc's mmap and trim thresholds at the values its
 dynamic rule ends in, so loss evaluations reuse heap pages instead of faulting

@@ -11,11 +11,12 @@ Three terms, each differentiable w.r.t. the synthesized image:
             autocorrelations, held in DFT modulus-squared form.
 
 Each feature term is one per-layer statistic S(f) returned with its
-adjoint (S(f) - target, w) -> cotangent of w |S(f) - target|^2; one loop
-serves both, with w = cfg.layer_weight at every layer; targets hold only
-exemplar statistics. compute_targets alone picks the layers they read: the
-network's default statistics layers unless others are asked for (synthesis
-never does), less those under 2x2 at the exemplar's size.
+adjoint (S(f) - target, w) -> cotangent of w |S(f) - target|^2; one helper
+scores one layer for both, with w = cfg.layer_weight at every layer; targets
+hold only exemplar statistics, {layer: statistic}. compute_targets alone
+picks the layers: the network's default statistics layers unless others are
+asked for (synthesis never does), less those under 2x2 at the exemplar's
+size. Only it and total_loss walk them.
 
 DFT convention is numpy's: unnormalized forward, 1/N inverse. Every
 transform is of a real array, so only its half spectrum is computed and
@@ -30,7 +31,7 @@ total_loss runs the terms beside the network: the spectrum term and each
 statistics layer's feature terms are tasks for a pool of one thread per
 further CPU the process may use, while the calling thread runs the forward
 pass and the pullback, which needs the first layer's cotangent last. Images
-under POOL_MIN_VALUES values, and hosts of one CPU, run every task inline.
+under POOL_MIN_PIXELS pixels, and hosts of one CPU, run every task inline.
 Once the pool is made, OpenBLAS runs at 1 thread. The results are combined
 in one fixed order, so no byte depends on the CPU or thread count.
 """
@@ -146,31 +147,21 @@ def circular_autocorr(channel: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(stat / np.sqrt(_multiplicity(x.shape[1])), s=x.shape)
 
 
-def _feature_loss(stat, feats: dict[str, np.ndarray], target: dict[str, np.ndarray],
-                  w: float):
-    """Value w sum_l |S(f_l) - target_l|^2 and per-layer feature cotangents."""
-    if set(feats) != set(target):
-        raise ValueError(
-            f"feature layers {sorted(feats)} do not match target layers {sorted(target)}"
-        )
-    value = 0.0
-    cots = {}
-    for name, f in feats.items():
-        diff, adjoint = stat(f)
-        diff -= target[name]  # in place: the statistic is a fresh array
-        value += w * np.sum(diff**2)
-        cots[name] = adjoint(diff, w)
-    return value, cots
+def _feature_loss(stat, f: np.ndarray, target: np.ndarray, w: float):
+    """Value w |S(f) - target|^2 of one layer and its cotangent of f."""
+    diff, adjoint = stat(f)
+    diff -= target  # in place: the statistic is a fresh array
+    return w * np.sum(diff**2), adjoint(diff, w)
 
 
-def gram_target(feats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Gram matrix (m, m) per layer: F^T F / N^2 for F of shape (N, m)."""
-    return {name: _gram(f)[0] for name, f in feats.items()}
+def gram_target(f: np.ndarray) -> np.ndarray:
+    """Gram matrix (m, m) of one layer: F^T F / N^2 for F of shape (N, m)."""
+    return _gram(f)[0]
 
 
-def gram_loss(feats: dict[str, np.ndarray], target: dict[str, np.ndarray], weight: float):
-    """Value and per-layer feature cotangents of the Gram term at `weight`."""
-    return _feature_loss(_gram, feats, target, weight)
+def gram_loss(f: np.ndarray, target: np.ndarray, weight: float):
+    """Value and feature cotangent of one layer's Gram term at `weight`."""
+    return _feature_loss(_gram, f, target, weight)
 
 
 def spectrum_target(exemplar) -> SpectrumTarget:
@@ -222,14 +213,14 @@ def spectrum_loss(img, target: SpectrumTarget):
     return float(np.sum(resid**2) / (2 * n)), resid / n
 
 
-def autocorr_target(feats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Autocorrelation per feature channel as sqrt(m) |rfft2|^2 / N^2, layer-keyed."""
-    return {name: _autocorr(f)[0] for name, f in feats.items()}
+def autocorr_target(f: np.ndarray) -> np.ndarray:
+    """Autocorrelation of each of one layer's channels as sqrt(m) |rfft2|^2 / N^2."""
+    return _autocorr(f)[0]
 
 
-def autocorr_loss(feats: dict[str, np.ndarray], target: dict[str, np.ndarray], weight: float):
-    """Value and per-layer feature cotangents of the autocorrelation term at `weight`."""
-    return _feature_loss(_autocorr, feats, target, weight)
+def autocorr_loss(f: np.ndarray, target: np.ndarray, weight: float):
+    """Value and feature cotangent of one layer's autocorrelation term at `weight`."""
+    return _feature_loss(_autocorr, f, target, weight)
 
 
 def compute_targets(exemplar, cfg, network=None, layers=None) -> StatTargets:
@@ -261,19 +252,25 @@ def compute_targets(exemplar, cfg, network=None, layers=None) -> StatTargets:
         term_targets = {"gram": gram_target, "autocorr": autocorr_target}
         for term in FEATURE_TERMS:
             if term in terms:
-                found[term] = term_targets[term](feats)
+                found[term] = {name: term_targets[term](f) for name, f in feats.items()}
     if "spectrum" in terms:
         found["spectrum"] = spectrum_target(data)
     return StatTargets(**found, dropped_layers=dropped)
 
 
-# Images of fewer values than this evaluate every term inline. With the pool
-# at every size, the 64^2 gram+spectrum+msinit K=2 benchmark run (levels of
-# 16^2 to 64^2 RGB, at most 12288 values) took 2.36 s against 1.95 s inline,
-# slower in 10 of 10 alternating pairs on a 2-CPU Xeon host. There a 128^2 RGB
-# evaluation (49152 values) took 23.0 ms pooled against 29.0 ms inline for
-# gram+spectrum+autocorr, and 22.5 against 24.0 ms for gram+spectrum.
-POOL_MIN_VALUES = 32768
+# Images of fewer pixels than this evaluate every term inline. It counts
+# pixels, not values: the pool mostly moves each statistics layer's terms,
+# whose feature channels do not depend on the image's. With the pool at every
+# size, the 64^2 gram+spectrum+msinit K=2 benchmark run (levels of 16^2 to
+# 64^2 RGB, at most 4096 pixels) took 2.36 s against 1.95 s inline, slower in
+# 10 of 10 alternating pairs on a 2-CPU Xeon host. There a 128^2 RGB
+# evaluation took 23.0 ms pooled against 29.0 ms inline for
+# gram+spectrum+autocorr, and 22.5 against 24.0 ms for gram+spectrum; a gray
+# one 25.7 against 34.6 ms (medians of 8 alternating processes, pooled lower
+# in 8 of 8), and a 112^2 gray one 23.1 against 28.8 ms (7 of 8).
+# The value, ceil(32768 / 3), keeps every RGB image on the side it took when
+# the threshold was 32768 values.
+POOL_MIN_PIXELS = 10923
 # the pool's threads: one per CPU this process may run on, less the caller's
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1) - 1
@@ -281,16 +278,16 @@ _pool = None
 _pool_lock = threading.Lock()  # two callers on two threads make one pool
 
 
-def worker_pool(values: int):
+def worker_pool(pixels: int):
     """The module's pool of WORKERS threads for the terms of an image of
-    `values` values, or None to evaluate them inline: below POOL_MIN_VALUES,
-    or with no worker to spare. The pool is made on first use, and from
-    then on OpenBLAS runs at 1 thread: its idle threads would spin on the
-    cores the workers need. The pin holds for the rest of the process,
+    `pixels` pixels (h * w), or None to evaluate them inline: below
+    POOL_MIN_PIXELS, or with no worker to spare. The pool is made on first
+    use, and from then on OpenBLAS runs at 1 thread: its idle threads would
+    spin on the cores the workers need. The pin holds for the rest of the process,
     over any OPENBLAS_NUM_THREADS, so later BLAS work there, texsynth's or
     not, runs on one thread. No byte depends on either thread count."""
     global _pool
-    if values < POOL_MIN_VALUES or WORKERS < 1:
+    if pixels < POOL_MIN_PIXELS or WORKERS < 1:
         return None
     with _pool_lock:
         if _pool is None:
@@ -304,6 +301,7 @@ def worker_pool(values: int):
         return _pool
 
 
+# the caller runs a queued task itself: waiting for the worker was slower (5 of 5 runs, 256^2)
 class _Task:
     """fn(*args), handed to `pool` at once, or run inline when first needed
     without one; a task the pool has not started by then is cancelled and
@@ -328,6 +326,7 @@ class _Task:
             self._future.cancel()
 
 
+# one task per layer, not per term: per term was no faster at 256^2, slower at 128^2
 def _layer_terms(name, f, active: dict, weight):
     """Value of each `active` term ({term: target}) whose target has layer
     `name`, at activation f, and their cotangents summed in that order."""
@@ -336,8 +335,8 @@ def _layer_terms(name, f, active: dict, weight):
     values, cot = {}, None
     for term, target in active.items():
         if name in target:
-            values[term], cots = term_losses[term]({name: f}, {name: target[name]}, weight)
-            cot = cots[name] if cot is None else cot + cots[name]
+            values[term], term_cot = term_losses[term](f, target[name], weight)
+            cot = term_cot if cot is None else cot + term_cot
     return values, cot
 
 
@@ -362,7 +361,7 @@ def total_loss(img, cfg, targets: StatTargets, network=None) -> LossReport:
     the process at 1 OpenBLAS thread for good (see worker_pool).
     """
     data = _as_array(img)
-    return _evaluate(data, cfg, targets, network, worker_pool(data.size))
+    return _evaluate(data, cfg, targets, network, worker_pool(data.shape[0] * data.shape[1]))
 
 
 def _evaluate(data, cfg, targets: StatTargets, network, pool) -> LossReport:
@@ -371,6 +370,8 @@ def _evaluate(data, cfg, targets: StatTargets, network, pool) -> LossReport:
     for term in TERM_NAMES:
         if term in terms and getattr(targets, term) is None:
             raise ValueError(f"{term} term active but no {term} target")
+    if terms & set(FEATURE_TERMS) and network is None:
+        raise ValueError("feature-statistics terms need a network")
     report_terms = {}
     grad = spectrum_distance = None
     tasks = []
@@ -386,6 +387,7 @@ def _evaluate(data, cfg, targets: StatTargets, network, pool) -> LossReport:
         if active:
             layers = {}
 
+            # each layer as the forward makes it: after the forward was slower (6 of 6 runs)
             def submit(name, f):
                 layers[name] = task(_layer_terms, name, f, active, cfg.layer_weight)
 

@@ -143,14 +143,14 @@ def _check_displacement_search() -> tuple[bool, str]:
 
 
 def _check_worker_pool() -> tuple[bool, str]:
-    # just above the pool threshold: 105 * 105 * 3 = 33075 values
+    # just above the pool threshold: 105 * 105 = 11025 pixels
     rng = np.random.default_rng(13)
     specs = (netmod.LayerSpec("c1", "conv3x3", 3, 2), netmod.LayerSpec("p1", "pool2", 2, 2))
     network = netmod.Network(specs, netmod.random_weights(specs, 17))
     exemplar, x = rng.random((105, 105, 3)), rng.random((105, 105, 3))
     variant = synth.MethodVariant(("gram", "spectrum", "autocorr"))
     targets = losses.compute_targets(exemplar, variant, network, layers=["c1", "p1"])
-    pooled = losses.worker_pool(x.size) is not None
+    pooled = losses.worker_pool(x.shape[0] * x.shape[1]) is not None
     reports = [losses.total_loss(x, variant, targets, network),
                losses._evaluate(x, variant, targets, network, None)]
     same = len({(r.total, tuple(r.terms.items()), r.grad.tobytes()) for r in reports}) == 1

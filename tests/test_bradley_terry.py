@@ -52,6 +52,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="nonnegative"):
             DuelDataset(("a", "b"), np.array([[0.0, -1.0], [2.0, 0.0]]))
 
+    def test_a_wins_matrix_of_the_wrong_shape_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^wins must be 3x3, got \(2, 2\)$"):
+            DuelDataset(("a", "b", "c"), np.zeros((2, 2)))
+
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValueError, match="zero diagonal"):
             DuelDataset(("a", "b"), np.array([[1.0, 2.0], [2.0, 0.0]]))

@@ -360,7 +360,7 @@ class TestSynth:
         ["--variant", "gram+spectrum+autocorr", "--iterations", "6"],
     ], ids=["msinit", "autocorr"])
     def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, extra):
-        # 128^2 RGB is above losses.POOL_MIN_VALUES, and the msinit run's 64^2 level below
+        # 128^2 is above losses.POOL_MIN_PIXELS, and the msinit run's 64^2 level below
         rng = np.random.default_rng(128)
         write_image(Image(rng.random((128, 128, 3))), tmp_path / "ex.ppm", bits=16)
         cpu = min(os.sched_getaffinity(0))
@@ -777,6 +777,15 @@ class TestEvalDs:
         assert rc == 2
         assert stderr_payload(capsys) == {"error": "RasterFormatError",
                                           "message": f"sample 200 above maxval 15 in {bad}"}
+
+    def test_a_synth_of_zero_width_exits_2_naming_it(self, tmp_path, capsys):
+        ex = save_rgb(tmp_path / "ex.ppm")
+        bad = tmp_path / "empty.ppm"
+        bad.write_bytes(b"P6\n0 16\n255\n")
+        rc = main(["eval-ds", "--exemplar", ex, "--synth", str(bad)])
+        assert rc == 2
+        assert stderr_payload(capsys) == {"error": "RasterFormatError",
+                                          "message": f"bad dimensions 0x16 in {bad}"}
 
     @pytest.mark.parametrize("bad", ["tiny-synth", "gray-synth", "tiny-exemplar"])
     def test_an_image_the_search_cannot_take_exits_2_naming_the_file(

@@ -61,6 +61,10 @@ class TestImage:
         with pytest.raises(ValueError, match="channel count"):
             Image(np.zeros((4, 4, 2)))
 
+    def test_four_dimensional_data_rejected(self):
+        with pytest.raises(ValueError, match=r"2-D or 3-D, got shape \(2, 2, 1, 1\)"):
+            Image(np.zeros((2, 2, 1, 1)))
+
     def test_non_finite_samples_rejected(self):
         arr = np.zeros((3, 3))
         arr[1, 1] = np.nan
@@ -221,16 +225,19 @@ class TestPnmIO:
         assert img.data.shape == (2, 2, 1)
         assert np.allclose(img.data.ravel() * 255, [0, 64, 128, 255])
 
-    @pytest.mark.parametrize("blob", [
-        b"P52 2\n255\n" + bytes(4),  # no separator after the magic
-        b"P5\n2 2\n",  # the file ends before maxval
-        b"P5\n2 2\n255",  # the file ends at maxval
-        b"P5\n2 2\n255" + bytes([128, 64, 32, 16]),  # no separator before the payload
-    ], ids=["magic-then-digit", "ends-before-maxval", "ends-at-maxval", "maxval-then-payload"])
-    def test_malformed_header_rejected(self, tmp_path, blob):
+    @pytest.mark.parametrize("blob, message", [
+        (b"P52 2\n255\n" + bytes(4), "not a binary"),  # no separator after the magic
+        (b"P5\n2 2\n", "not a binary"),  # the file ends before maxval
+        (b"P5\n2 2\n255", "not a binary"),  # the file ends at maxval
+        (b"P5\n2 2\n255" + bytes([128, 64, 32, 16]), "not a binary"),  # no gap before the payload
+        (b"P5\n0 2\n255\n", "bad dimensions 0x2"),
+        (b"P6\n3 0\n255\n", "bad dimensions 3x0"),
+    ], ids=["magic-then-digit", "ends-before-maxval", "ends-at-maxval", "maxval-then-payload",
+            "zero-width", "zero-height"])
+    def test_malformed_header_rejected(self, tmp_path, blob, message):
         path = tmp_path / "t.pgm"
         path.write_bytes(blob)
-        with pytest.raises(RasterFormatError):
+        with pytest.raises(RasterFormatError, match=message):
             read_image(path)
 
     def test_zero_maxval_rejected(self, tmp_path):

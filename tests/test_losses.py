@@ -60,53 +60,36 @@ class TestGram:
     def test_hand_example(self):
         # feature rows (1,0) and (0,2): G = F^T F / N^2 with N = 2
         f = np.array([[[1.0, 0.0]], [[0.0, 2.0]]])
-        g = gram_target({"l": f})["l"]
+        g = gram_target(f)
         assert np.array_equal(g, np.array([[0.25, 0.0], [0.0, 1.0]]))
 
     def test_impulse_example(self):
         f = np.zeros((4, 4, 1))
         f[0, 0, 0] = 1.0
-        assert np.allclose(gram_target({"l": f})["l"], [[1.0 / 256.0]])
+        assert np.allclose(gram_target(f), [[1.0 / 256.0]])
 
     def test_zero_at_target(self):
         rng = np.random.default_rng(0)
         f = rng.standard_normal((4, 5, 3))
-        target = gram_target({"l": f})
-        value, cots = gram_loss({"l": f}, target, 2.0)
+        value, cot = gram_loss(f, gram_target(f), 2.0)
         assert value == 0.0
-        assert np.allclose(cots["l"], 0.0)
+        assert np.allclose(cot, 0.0)
 
     def test_value_formula(self):
         rng = np.random.default_rng(1)
         f = rng.standard_normal((4, 4, 2))
         t = rng.standard_normal((5, 3, 2))
-        target = gram_target({"l": t})
-        value, _ = gram_loss({"l": f}, target, 3.0)
-        diff = gram_target({"l": f})["l"] - gram_target({"l": t})["l"]
+        value, _ = gram_loss(f, gram_target(t), 3.0)
+        diff = gram_target(f) - gram_target(t)
         assert np.isclose(value, 3.0 * np.sum(diff**2))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         f = rng.standard_normal((3, 4, 2))
-        target = gram_target({"l": rng.standard_normal((3, 4, 2))})
-        _, cots = gram_loss({"l": f}, target, 1.5)
-        num = fd_grad(lambda: gram_loss({"l": f}, target, 1.5)[0], f)
-        assert np.abs(cots["l"] - num).max() < 1e-7 * max(1.0, np.abs(num).max())
-
-    def test_layer_mismatch_rejected(self):
-        f = {"a": np.zeros((2, 2, 1))}
-        target = gram_target({"b": np.zeros((2, 2, 1))})
-        with pytest.raises(ValueError, match="do not match target layers"):
-            gram_loss(f, target, 1.0)
-
-    def test_the_value_sums_over_layers(self):
-        rng = np.random.default_rng(3)
-        feats = {"a": rng.standard_normal((3, 3, 2)), "b": rng.standard_normal((2, 2, 1))}
-        tfeats = {"a": rng.standard_normal((3, 3, 2)), "b": rng.standard_normal((2, 2, 1))}
-        va, _ = gram_loss({"a": feats["a"]}, gram_target({"a": tfeats["a"]}), 1.0)
-        vb, _ = gram_loss({"b": feats["b"]}, gram_target({"b": tfeats["b"]}), 1.0)
-        vab, _ = gram_loss(feats, gram_target(tfeats), 1.0)
-        assert np.isclose(va + vb, vab)
+        target = gram_target(rng.standard_normal((3, 4, 2)))
+        _, cot = gram_loss(f, target, 1.5)
+        num = fd_grad(lambda: gram_loss(f, target, 1.5)[0], f)
+        assert np.abs(cot - num).max() < 1e-7 * max(1.0, np.abs(num).max())
 
 
 class TestSpectrum:
@@ -185,13 +168,13 @@ class TestAutocorr:
         x[0, 0] = 1.0
         c = circular_autocorr(x)
         assert np.allclose(c, [[1.0 / 16.0, 0.0], [0.0, 0.0]], atol=1e-15)
-        a = autocorr_target({"l": x[:, :, None]})["l"][:, :, 0]
+        a = autocorr_target(x[:, :, None])[:, :, 0]
         assert np.allclose(a, 1.0 / 16.0, atol=1e-15)
 
     def test_constant_examples(self):
         x = np.ones((2, 2))
         assert np.allclose(circular_autocorr(x), 0.25, atol=1e-15)
-        a = autocorr_target({"l": x[:, :, None]})["l"][:, :, 0]
+        a = autocorr_target(x[:, :, None])[:, :, 0]
         assert np.isclose(a[0, 0], 1.0)
         assert np.abs(a[0, 1]) < 1e-15 and np.abs(a[1, 0]) < 1e-15
 
@@ -215,17 +198,17 @@ class TestAutocorr:
     def test_zero_at_target(self):
         rng = np.random.default_rng(12)
         f = rng.standard_normal((4, 4, 2))
-        value, cots = autocorr_loss({"l": f}, autocorr_target({"l": f}), 2.0)
+        value, cot = autocorr_loss(f, autocorr_target(f), 2.0)
         assert value == 0.0
-        assert np.allclose(cots["l"], 0.0, atol=1e-15)
+        assert np.allclose(cot, 0.0, atol=1e-15)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
         f = rng.standard_normal((4, 3, 2))
-        target = autocorr_target({"l": rng.standard_normal((4, 3, 2))})
-        _, cots = autocorr_loss({"l": f}, target, 1.2)
-        num = fd_grad(lambda: autocorr_loss({"l": f}, target, 1.2)[0], f)
-        assert np.abs(cots["l"] - num).max() < 1e-6 * max(1.0, np.abs(num).max())
+        target = autocorr_target(rng.standard_normal((4, 3, 2)))
+        _, cot = autocorr_loss(f, target, 1.2)
+        num = fd_grad(lambda: autocorr_loss(f, target, 1.2)[0], f)
+        assert np.abs(cot - num).max() < 1e-6 * max(1.0, np.abs(num).max())
 
 
 def full_autocorr(f):
@@ -281,10 +264,10 @@ class TestHalfSpectraAgainstFullSpectra:
     def test_autocorr_value_and_gradient(self, shape):
         rng = np.random.default_rng(shape)
         f, g = rng.standard_normal(shape), rng.standard_normal(shape)
-        value, cots = autocorr_loss({"l": f}, autocorr_target({"l": g}), 1.7)
+        value, cot = autocorr_loss(f, autocorr_target(g), 1.7)
         want_value, want_cot = full_autocorr_loss(f, g, 1.7)
         assert rel_err(value, want_value) <= 1e-13
-        assert rel_err(cots["l"], want_cot) <= 1e-13
+        assert rel_err(cot, want_cot) <= 1e-13
 
     @pytest.mark.parametrize("shape", HALF_SPECTRUM_SHAPES, ids=str)
     def test_spectrum_projection_value_and_gradient(self, shape):
@@ -331,6 +314,18 @@ class TestTargetsAndTotal:
         ex = Image(np.random.default_rng(16).random((8, 8, 3)))
         with pytest.raises(ValueError, match="need a network"):
             compute_targets(ex, MethodVariant(("gram",)))
+
+    @pytest.mark.parametrize("terms", [("gram",), ("spectrum", "autocorr")])
+    def test_feature_terms_need_a_network_in_the_total_too(self, monkeypatch, terms):
+        rng = np.random.default_rng(24)
+        ex = rng.random((8, 8, 3))
+        variant = MethodVariant(terms)
+        targets = compute_targets(ex, variant, tiny_net(), layers=["c1", "p1"])
+        made = []
+        monkeypatch.setattr(losses, "_Task", lambda *args: made.append(args))
+        with pytest.raises(ValueError, match="^feature-statistics terms need a network$"):
+            total_loss(rng.random((8, 8, 3)), variant, targets)
+        assert made == []
 
     @pytest.mark.parametrize("missing", ["gram", "spectrum", "autocorr"])
     def test_an_active_term_without_its_target_is_rejected(self, missing):
@@ -380,13 +375,12 @@ class TestTargetsAndTotal:
         rng = np.random.default_rng(21)
         net = tiny_net()
         variant = MethodVariant(("gram",), layer_weight=2.0)
-        feats = {"p1": rng.standard_normal((4, 4, 4))}
-        targets = StatTargets(gram=gram_target(feats))
+        targets = StatTargets(gram={"p1": gram_target(rng.standard_normal((4, 4, 4)))})
         assert targets.stats_layers == ["p1"] and targets.dropped_layers == []
         x = rng.random((8, 8, 3))
         report = total_loss(x, variant, targets, net)
-        f = net_forward(net, x, ["p1"])
-        assert report.total == gram_loss(f, targets.gram, 2.0)[0]
+        f = net_forward(net, x, ["p1"])["p1"]
+        assert report.total == gram_loss(f, targets.gram["p1"], 2.0)[0]
 
     def test_total_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(20)
@@ -416,9 +410,9 @@ class TestTargetsAndTotal:
         net = Network(base.specs, base.weights, pool=pool)
         ex = rng.random((8, 8, 3))
         feats = net_forward(net, ex, ["c1", "p1"])
-        targets = StatTargets(gram=gram_target({"p1": feats["p1"]}),
+        targets = StatTargets(gram={"p1": gram_target(feats["p1"])},
                               spectrum=spectrum_target(ex),
-                              autocorr=autocorr_target(feats))
+                              autocorr={name: autocorr_target(f) for name, f in feats.items()})
         variant = MethodVariant(terms, beta=5.0, layer_weight=3.0)
         x = rng.random((8, 8, 3))
         report = total_loss(x, variant, targets, net)
@@ -429,19 +423,20 @@ class TestTargetsAndTotal:
 
 def zero_filled_total_loss(x, cfg, targets, net):
     """total_loss as it was summed before it added only what its terms
-    return: into zero-filled cotangents and a zero-filled gradient."""
+    return: into zero-filled cotangents and a zero-filled gradient, each
+    term's value summed from 0.0 over its layers in target order."""
     values, grad = {}, np.zeros_like(x)
     active = [term for term in ("gram", "autocorr") if term in cfg.terms]
     if active:
         feats, pull = forward_with_pullback(net, x, targets.stats_layers)
         cots = {name: np.zeros_like(f) for name, f in feats.items()}
         for term in active:
-            target = getattr(targets, term)
             loss = {"gram": gram_loss, "autocorr": autocorr_loss}[term]
-            values[term], term_cots = loss({n: feats[n] for n in target}, target,
-                                           cfg.layer_weight)
-            for name, c in term_cots.items():
-                cots[name] += c
+            values[term] = 0.0
+            for name, target in getattr(targets, term).items():
+                value, cot = loss(feats[name], target, cfg.layer_weight)
+                values[term] += value
+                cots[name] += cot
         grad += pull(cots)
     if "spectrum" in cfg.terms:
         value, sgrad = spectrum_loss(x, targets.spectrum)
@@ -519,9 +514,11 @@ def test_tracer_hooks_fire_on_the_cli_path(tmp_path):
             "imagecore.upsample", "synth.multiscale", "optim.minimize"} <= set(names)
 
 
-# Sizes either side of losses.POOL_MIN_VALUES (32768): 96^2 RGB and 112^2 gray
-# below it, 112^2 RGB and 192^2 gray above it.
-POOL_CASES = [(96, 3), (112, 1), (112, 3), (192, 1)]
+# (size, channels, pooled): gray and RGB either side of losses.POOL_MIN_PIXELS,
+# and the RGB sizes either side of it, which it shares with the 32768-value
+# threshold it replaced.
+POOL_CASES = [(96, 1, False), (96, 3, False), (104, 3, False), (105, 3, True),
+              (112, 1, True), (112, 3, True)]
 TERM_SETS = ["gram", "spectrum", "autocorr", "gram+spectrum", "gram+autocorr",
              "spectrum+autocorr", "gram+spectrum+autocorr"]
 
@@ -541,13 +538,15 @@ def loss_case(size, channels, pool, variant):
 @pytest.mark.parametrize("pool", ["avg", "max"])
 @pytest.mark.parametrize("variant", TERM_SETS)
 def test_the_worker_pool_moves_no_byte(monkeypatch, variant, pool):
-    for size, channels in POOL_CASES:
+    worker_pool, chosen = losses.worker_pool, []
+    monkeypatch.setattr(losses, "worker_pool", lambda n: chosen.append(worker_pool(n)) or chosen[-1])
+    for size, channels, on_pool in POOL_CASES:
         img, cfg, targets, network = loss_case(size, channels, pool, variant)
         monkeypatch.setattr(losses, "WORKERS", 0)
         inline = total_loss(img, cfg, targets, network)
         monkeypatch.setattr(losses, "WORKERS", 1)
-        assert (losses.worker_pool(img.size) is None) == (img.size < losses.POOL_MIN_VALUES)
         pooled = total_loss(img, cfg, targets, network)
+        assert (chosen[-1] is not None) == on_pool
         assert report_bytes(pooled) == report_bytes(inline)
         assert list(pooled.terms) == [t for t in ("gram", "autocorr", "spectrum")
                                       if t in cfg.terms]
@@ -557,7 +556,7 @@ def test_the_worker_pool_moves_no_byte(monkeypatch, variant, pool):
 @pytest.mark.parametrize("size", [64, 112], ids=["inline", "pooled"])
 def test_four_layer_sums_have_the_bytes_of_the_all_layer_term_functions(monkeypatch, size, pool):
     # the per-layer tasks add each term's four layer values in the order
-    # gram_loss and autocorr_loss add them over all layers at once
+    # zero_filled_total_loss adds them, one layer after another
     monkeypatch.setattr(losses, "WORKERS", 1)
     img, cfg, targets, network = loss_case(size, 3, pool, "gram+spectrum+autocorr")
     report = total_loss(img, cfg, targets, network)

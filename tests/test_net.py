@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from texsynth.imagecore import InputError
 from texsynth.net import (
     LayerSpec,
     Network,
@@ -155,6 +156,22 @@ class TestForwardBackward:
         assert np.array_equal(acts["p2"], forward(net, x, wanted=["p2"])["p2"])
         assert np.array_equal(pull(cots), forward_with_pullback(net, x, ())[1](cots))
 
+    @pytest.mark.parametrize("pool", ["avg", "max"])
+    def test_each_sees_every_wanted_layer_once_in_chain_order(self, pool):
+        # the loss terms start on each layer as `each` is called with it
+        net = small_net(seed=7, pool=pool)
+        x = np.random.default_rng(8).random((7, 9, 3))
+        seen = []
+        acts, _ = forward_with_pullback(net, x, ["p2", "c1", "r2", "p1"],
+                                        lambda name, f: seen.append((name, f)))
+        assert [name for name, _ in seen] == ["c1", "p1", "r2", "p2"]
+        assert all(f is acts[name] for name, f in seen) and len(acts) == 4
+
+        def unwanted(name, f):
+            raise AssertionError(f"each called for {name}")
+
+        forward_with_pullback(net, x, (), unwanted)
+
     def test_unknown_layer_request_rejected(self):
         net = small_net()
         with pytest.raises(ValueError, match="unknown layers"):
@@ -220,6 +237,14 @@ class TestPooling:
 
     def test_default_network_uses_avg_pool(self):
         assert make_network(in_channels=3, seed=0).pool == "avg"
+
+    def test_an_unknown_pool_is_rejected(self):
+        with pytest.raises(ValueError, match="^pool must be 'avg' or 'max', got 'min'$"):
+            self.pool_net("min")
+
+    def test_an_unknown_architecture_is_rejected(self):
+        with pytest.raises(InputError, match="^unknown architecture 'resnet'$"):
+            make_network("resnet")
 
 
 class TestWeights:

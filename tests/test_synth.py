@@ -383,6 +383,16 @@ class TestBlasKernel:
         assert synth.blas_kernel() is kernel
         assert kernel.endswith(" " + synth._openblas_core())
 
+    def test_a_library_numpy_does_not_name_is_unknown(self, monkeypatch):
+        build = dict(np.__config__.CONFIG["Build Dependencies"])
+        build.pop("blas", None)
+        monkeypatch.setitem(np.__config__.CONFIG, "Build Dependencies", build)
+        synth.blas_kernel.cache_clear()
+        try:
+            assert synth.blas_kernel() == f"unknown {synth._openblas_core()}"
+        finally:
+            synth.blas_kernel.cache_clear()
+
     def test_a_core_that_cannot_be_read_is_unknown(self, monkeypatch):
         def fail(path):
             raise OSError("cannot load")

@@ -136,6 +136,10 @@ class TestTransform:
         with pytest.raises(ValueError, match="single-channel"):
             dwt2_daub4(np.zeros((8, 8, 3)), scales=1)
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match=r"expected a 2-D array, got shape \(8,\)"):
+            dwt2_daub4(np.zeros(8), scales=1)
+
     def test_indivisible_dims_rejected(self):
         with pytest.raises(WaveletScaleError, match="divisible"):
             dwt2_daub4(np.zeros((20, 20)), scales=3)

@@ -539,7 +539,8 @@ def loss_case(size, channels, pool, variant):
 @pytest.mark.parametrize("variant", TERM_SETS)
 def test_the_worker_pool_moves_no_byte(monkeypatch, variant, pool):
     worker_pool, chosen = losses.worker_pool, []
-    monkeypatch.setattr(losses, "worker_pool", lambda n: chosen.append(worker_pool(n)) or chosen[-1])
+    monkeypatch.setattr(losses, "worker_pool",
+                        lambda n: chosen.append(worker_pool(n)) or chosen[-1])
     for size, channels, on_pool in POOL_CASES:
         img, cfg, targets, network = loss_case(size, channels, pool, variant)
         monkeypatch.setattr(losses, "WORKERS", 0)

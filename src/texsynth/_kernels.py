@@ -23,16 +23,20 @@ so each distinct window of either image is searched once: a periodic or
 flat image has few. The estimate is |b|^2 - 2 a.b, the SSD less the row
 constant |a|^2, from one GEMM of [a, 1] with [-2b, |b|^2] per block of
 synthesis rows; a block's temporaries stay within a fixed byte budget.
-With k = patch^2 * channels, u = 2^-53 and g(n) = n u / (1 - n u), every
-candidate within 10 g(k+3) (|a|^2 + max |b|^2) of its row's least estimate
-(plus an allowance for underflow) may be the exact winner. That margin
-bounds the rounding of both the GEMM estimate and the exact SSD; the
-derivation is at `displacement_search`. A row with one such candidate is
-decided by it; the candidates of every other row are re-ranked by their
-exact SSD, summed in the order the direct per-pixel search summed it, and
-ties go to the smallest raster index of the exemplar window, which is the
-lexicographically smallest (dy, dx). So the map equals the direct search's
-bit for bit, whatever the BLAS summation order or thread count.
+The GEMM runs in float32, about twice as fast as in float64, when every
+nonzero |pixel| of both images lies in [2^-50, 2^50]; otherwise, and for
+windows of more than 2^20 values, in float64. With k = patch^2 * channels
+and g(n) = n u / (1 - n u), every candidate within 6 g(k+4) of its row's
+least estimate at u = 2^-24, or 10 g(k+3) at u = 2^-53, times
+(|a|^2 + max |b|^2) and plus an allowance for underflow, may be the exact
+winner. That margin bounds the rounding of both the estimate and the exact
+float64 SSD; the derivation is at `displacement_search`. A row with one
+such candidate is decided by it; the candidates of every other row are
+re-ranked by their exact SSD, summed in the order the direct per-pixel
+search summed it, and ties go to the smallest raster index of the exemplar
+window, which is the lexicographically smallest (dy, dx). So the map
+equals the direct search's bit for bit, whatever the estimate's precision,
+the BLAS summation order or the thread count.
 """
 
 from __future__ import annotations
@@ -92,6 +96,20 @@ def conv3x3_back(g: np.ndarray, kern: np.ndarray) -> np.ndarray:
 # Byte budget for the temporaries of one search block: the (rows, windows)
 # distance estimates, and each chunk of re-ranked window pairs.
 _SEARCH_BLOCK_BYTES = 16 << 20
+
+
+def _estimate_dtype(k: int, *images: np.ndarray):
+    """np.float32 where the float32 estimate's margin holds for windows of
+    k values of `images`: every nonzero |pixel| in [2**-50, 2**50] and
+    k <= 2**20 (derived at `displacement_search`); np.float64 otherwise."""
+    lo, hi = 2.0**-50, 2.0**50
+    if k > 1 << 20:
+        return np.float64
+    for img in images:
+        mag = np.abs(img)
+        if not (mag.max() <= hi and mag.min(where=mag > 0, initial=hi) >= lo):
+            return np.float64
+    return np.float32
 
 
 def _distinct_windows(img: np.ndarray, patch: int):
@@ -178,43 +196,72 @@ def displacement_search(synth: np.ndarray, exemplar: np.ndarray, patch: int) -> 
     b_aug[:, :k] *= -2.0
     # the windows as (patch, patch * c) blocks, views for the re-rank
     a, minus_2b = (m[:, :k].reshape(len(m), patch, -1) for m in (a_aug, b_aug))
-    # The margin. Let u = 2**-53 and g(n) = n*u / (1 - n*u). For windows a, b
-    # let t = |b|^2 - 2 a.b, so that the exact SSD is s = |a|^2 + t.
-    # - The estimate e is one GEMM of k + 1 products, in any summation order
-    #   or thread split. Scaling by -2 is exact, 2 |a.b| <= |a|^2 + |b|^2,
-    #   and the computed |b|^2 errs by at most g(k) |b|^2, so
-    #   |e - t| <= g(k+1) (|a|^2 + |b|^2 + (1 + g(k)) |b|^2) + g(k) |b|^2
-    #           <= E = (3 + g(k)) g(k+1) (|a|^2 + |b|^2);
-    # - the exact SSD S, summed in any order from k rounded squares of
-    #   rounded differences, errs by at most g(k+2) s, and
-    #   s <= 2 (|a|^2 + |b|^2), so by at most D = 2 g(k+2) (|a|^2 + |b|^2).
-    # If b* wins the exact ranking and b' has the least estimate, then
+    # The margin. For windows a, b let t = |b|^2 - 2 a.b, so that the exact
+    # SSD is s = |a|^2 + t, and let Q = |a|^2 + max |b|^2. Let the estimate e
+    # err from t by at most E, and the computed exact SSD S from s by at
+    # most D. If b* wins the exact ranking and b' has the least estimate, then
     #   e(b*) <= t(b*) + E <= S(b*) - |a|^2 + E + D <= S(b') - |a|^2 + E + D
     #         <= t(b') + E + 2D <= e(b') + 2E + 2D,
-    # and 2E + 2D <= (10 + 2 g(k)) g(k+2) (|a|^2 + max |b|^2). Taking
-    # 10 g(k+3) adds at least 10u (|a|^2 + max |b|^2). That covers the
-    # rounding of (least estimate + margin), below 2u (|a|^2 + max |b|^2) to
-    # first order since |e| <= |b|^2 + 2 |a||b|, and, at second order, the
-    # 2 g(k) g(k+2) term, the rounding of the margin itself and the computed
-    # norms standing in for exact ones. A product that underflows errs by at
-    # most half a subnormal, absolutely; 2E + 2D hold 6k products (k in the
-    # GEMM and k in |b|^2 for each E, k squares for each D), which the 8k
-    # subnormals added to the margin cover.
-    u = np.finfo(np.float64).eps / 2
-    gamma = (k + 3) * u / (1 - (k + 3) * u)
-    margin = 10 * gamma * (a_sq + b_sq_max) + 8 * k * np.finfo(np.float64).smallest_subnormal
+    # so each candidate within 2E + 2D of its row's least estimate may win.
+    # With unit roundoff u and g(n) = n u / (1 - n u):
+    # - S, summed in any order from k rounded float64 squares of rounded
+    #   differences, errs by at most g(k+2) s at u = 2**-53, and
+    #   s <= 2 (|a|^2 + |b|^2), so D = 2 g(k+2) Q.
+    # - The float64 estimate (u = 2**-53) is one GEMM of k + 1 products, in
+    #   any summation order or thread split. Scaling by -2 is exact,
+    #   2 |a.b| <= |a|^2 + |b|^2, and the computed |b|^2 errs by at most
+    #   g(k) |b|^2, so
+    #     |e - t| <= g(k+1) (|a|^2 + |b|^2 + (1 + g(k)) |b|^2) + g(k) |b|^2
+    #             <= E = (3 + g(k)) g(k+1) Q,
+    #   and 2E + 2D <= (10 + 2 g(k)) g(k+2) Q. Taking 10 g(k+3) Q adds at
+    #   least 10u Q. That covers the rounding of (least estimate + margin),
+    #   below 2u Q to first order since |e| <= |b|^2 + 2 |a||b|, and, at
+    #   second order, the 2 g(k) g(k+2) term, the rounding of the margin
+    #   itself and the computed norms standing in for exact ones. A product
+    #   that underflows errs by at most half a subnormal, absolutely; 2E + 2D
+    #   hold 6k products (k in the GEMM and k in |b|^2 for each E, k squares
+    #   for each D), which the 8k subnormals added to the margin cover.
+    # - The float32 estimate (u = 2**-24) runs where `_estimate_dtype` allows
+    #   it: every nonzero |pixel| in [2**-50, 2**50] and k <= 2**20. There the
+    #   float32 casts of a, of -2b and of the float64 |b|^2 (itself within
+    #   2**-24 |b|^2 of exact, as k <= 2**20), and every product of cast
+    #   values, are normal float32 numbers, and no sum comes near
+    #   overflow (k |pixel|^2 <= 2**120). So each product of cast values is
+    #   within g(2) of its exact term, and the GEMM sums the k + 1 of them, in
+    #   any order, within g(k+1) of their absolute sum, which is at most
+    #   (1 + g(2)) (|a|^2 + 2 |b|^2). Hence
+    #     |e - t| <= (g(2) + g(k+1) + g(2) g(k+1)) (|a|^2 + 2 |b|^2)
+    #             <= E = 2 g(k+3) Q,
+    #   and as D <= 2u Q for k <= 2**20, 2E + 2D <= 4 g(k+4) Q. Taking
+    #   6 g(k+4) Q leaves at least 10u Q for the float64 roundings of the
+    #   margin, of (least estimate + margin) with |e| <= 3Q, and of the
+    #   computed norms, each below 2**-28 Q. The threshold is then rounded
+    #   up to float32, which only raises it, and the block is compared in
+    #   float32. Within the range no product underflows; the 8k float32
+    #   subnormals (2**-149 each) added anyway, as in float64, keep the
+    #   bound from resting on the range's lower end.
+    dtype = _estimate_dtype(k, synth, exemplar)
+    u = np.finfo(dtype).eps / 2
+    n, coef = (k + 4, 6) if dtype == np.float32 else (k + 3, 10)
+    gamma = n * u / (1 - n * u)
+    margin = coef * gamma * (a_sq + b_sq_max) + 8 * k * np.finfo(dtype).smallest_subnormal
+    est_b = b_aug.astype(dtype, copy=False)  # the re-rank reads b_aug's float64 windows
     best = np.empty(len(a), dtype=np.int64)
-    block = max(1, _SEARCH_BLOCK_BYTES // (8 * len(b_aug)))
+    block = max(1, _SEARCH_BLOCK_BYTES // (est_b.itemsize * len(b_aug)))
     chunk = max(1, _SEARCH_BLOCK_BYTES // (4 * 8 * k))  # two gathers, b, one difference
     # one buffer for every block's estimates: a fresh one per block cost
     # about as much in page faults as the GEMM that fills it
-    buf = np.empty((min(block, len(a)), len(b_aug)))
+    buf = np.empty((min(block, len(a)), len(b_aug)), dtype=dtype)
     for lo in range(0, len(a), block):
         hi = min(lo + block, len(a))
-        est = np.matmul(a_aug[lo:hi], b_aug.T, out=buf[: hi - lo])
+        est = np.matmul(a_aug[lo:hi].astype(dtype, copy=False), est_b.T, out=buf[: hi - lo])
         least = est.argmin(axis=1)
         at = np.arange(hi - lo)
-        near = est <= (est[at, least] + margin[lo:hi])[:, None]
+        # the threshold in float64, rounded up to the estimate's precision
+        thr = est[at, least] + margin[lo:hi]
+        cut = thr.astype(dtype)
+        cut = np.where(cut < thr, np.nextafter(cut, dtype(np.inf)), cut)
+        near = est <= cut[:, None]
         # a row whose only candidate is its least estimate is decided by it
         best[lo:hi] = least
         near[at, least] = False

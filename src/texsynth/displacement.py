@@ -26,9 +26,11 @@ def displacement_map(synth, exemplar, patch: int = DEFAULT_PATCH) -> np.ndarray:
 
     With N' distinct synth windows, M' distinct exemplar windows and
     k = patch^2 * channels, the search costs about 2 N' M' k flops in GEMMs,
-    plus the exact SSDs of the candidates it re-ranks; its temporaries are
-    bounded per block of synth rows, not by N' M'. Periodic and flat images
-    have few distinct windows, so they are cheap.
+    float32 ones for pixels whose nonzero magnitudes lie in [2^-50, 2^50]
+    and float64 ones otherwise, plus the exact float64 SSDs of the
+    candidates it re-ranks (about 1% of the rows for a 256^2 noise pair);
+    its temporaries are bounded per block of synth rows, not by N' M'.
+    Periodic and flat images have few distinct windows, so they are cheap.
     """
     return displacement_search(_as_array(synth), _as_array(exemplar), patch)
 

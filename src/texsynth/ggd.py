@@ -15,7 +15,7 @@ from math import exp, lgamma
 import numpy as np
 
 from . import wavelets
-from .imagecore import InputError, as_array
+from .imagecore import InputError, as_array, channel_sum
 
 SHAPE_MIN = 0.05
 SHAPE_MAX = 20.0
@@ -153,5 +153,5 @@ def log_score(aggregate: float) -> float:
 def _to_gray(img) -> np.ndarray:
     data = as_array(img)
     if data.ndim == 3:
-        data = data.mean(axis=2)
+        data = channel_sum(data) / data.shape[2]  # np.mean's bytes
     return data

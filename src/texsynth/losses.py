@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, net as netmod
-from .imagecore import Image, InputError, as_array as _as_array
+from .imagecore import Image, InputError, as_array as _as_array, channel_sum
 
 DEFAULT_BETA = 1e5
 DEFAULT_LAYER_WEIGHT = 1e9
@@ -190,7 +190,7 @@ def spectrum_project(img, target: SpectrumTarget):
         raise InputError(f"image shape {data.shape} != target shape {target.shape}")
     h, w = data.shape[:2]
     fimg = np.fft.rfft2(data, axes=(0, 1))
-    cross = np.sum(fimg * np.conj(target.freq), axis=2)
+    cross = channel_sum(fimg * np.conj(target.freq))
     mod = np.abs(cross)
     thr = 1e-12 * (np.sum(mod * _multiplicity(w)) / (h * w))
     phase = np.where(mod <= thr, 1.0 + 0.0j, cross / np.where(mod > 0, mod, 1.0))

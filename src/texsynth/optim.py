@@ -8,8 +8,11 @@ pair. While no pair is held (at the start, after a restart, and so at the
 start of every msinit scale) H0 = I / |g|_2 (Liu & Nocedal 1989; Nocedal &
 Wright, sec. 3.5): the first trial point then lies at distance 1 from the
 iterate whatever the objective's scale, so multiplying the objective by a
-constant leaves the iterates unchanged. The iterates are unconstrained:
-image values get clamped at export time only.
+constant leaves the iterates unchanged, bit for bit for a power of two:
+where |g|^2, |y|^2 or |s|^2, or the cubic fit of the line search, would
+overflow, they are computed from values scaled by a power of two, which
+is exact; while they are finite, the plain values are used. The iterates
+are unconstrained: image values get clamped at export time only.
 
 The line search (Nocedal & Wright, Alg. 3.5/3.6) probes phi(a) ->
 (value, grad, slope) along the direction: from STEP_INIT it doubles to a
@@ -32,6 +35,7 @@ not BLAS, so the iterates do not depend on the BLAS thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import frexp, ldexp
 
 import numpy as np
 
@@ -73,9 +77,28 @@ def _dot(a, b) -> float:
     return float(np.add.reduce(a.ravel() * b.ravel()))
 
 
+def _square_norm(v):
+    """(q, e) with v.v = q * 4**e: the plain sum of squares and e = 0 when it
+    is finite, else the sum for v scaled by 2**-e into [0.5, 1) in max-norm.
+    A power-of-two scaling is exact away from underflow, so a scaled
+    objective gets the plain one's bytes, scaled (Blue 1978, ACM TOMS 4(1))."""
+    with np.errstate(over="ignore"):
+        q = _dot(v, v)
+    if np.isfinite(q):
+        return q, 0
+    e = int(np.frexp(np.max(np.abs(v)))[1])
+    w = np.ldexp(v, -e)
+    return _dot(w, w), e
+
+
+def _norm(v) -> float:
+    q, e = _square_norm(v)
+    return float(np.ldexp(np.sqrt(q), e))
+
+
 def _steepest(g):
     """-H0 g with H0 = I/|g|_2: a unit step along it moves distance 1."""
-    return -(g * (1.0 / np.sqrt(_dot(g, g))))  # two_loop_direction(g, [], 1/|g|)
+    return -(g * (1.0 / _norm(g)))  # two_loop_direction(g, [], 1/|g|)
 
 
 def two_loop_direction(grad, pairs, gamma: float):
@@ -108,7 +131,14 @@ def _cubic_step(alo, flo, dlo, ahi, fhi, dhi):
     if not (np.isfinite(fhi) and np.isfinite(dhi)):
         return None
     d1 = dlo + dhi - 3.0 * (flo - fhi) / (alo - ahi)
-    disc = d1 * d1 - dlo * dhi
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = d1 * d1 - dlo * dhi
+    if not np.isfinite(disc) and np.isfinite(d1):
+        # the squares overflow: the step is the same for slopes scaled by a
+        # power of two, and that scaling is exact
+        e = -frexp(max(abs(d1), abs(dlo), abs(dhi)))[1]
+        d1, dlo, dhi = ldexp(d1, e), ldexp(dlo, e), ldexp(dhi, e)
+        disc = d1 * d1 - dlo * dhi
     if disc < 0:
         return None
     d2 = np.sqrt(disc) * np.sign(ahi - alo)
@@ -219,12 +249,12 @@ def minimize(fun, x0, cfg: LbfgsConfig | None = None):
         alpha, f_new, g_new = result
         s = alpha * p
         y = g_new - gx
-        ys, yy = _dot(y, s), _dot(y, y)
-        if ys > 1e-10 * np.sqrt(yy) * np.sqrt(_dot(s, s)):
+        ys, (yy, e) = _dot(y, s), _square_norm(y)
+        if ys > 1e-10 * np.ldexp(np.sqrt(yy), e) * _norm(s):
             pairs.append((s, y, 1.0 / ys))
             if len(pairs) > cfg.history:
                 pairs.pop(0)
-            gamma = ys / yy
+            gamma = float(np.ldexp(ys / yy, -2 * e))
         x = x + s
         fx, gx = float(f_new), g_new
         trace.values.append(fx)

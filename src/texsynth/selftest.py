@@ -124,11 +124,10 @@ def _check_optimizer() -> tuple[bool, str]:
     )
 
 
-def _check_displacement_search() -> tuple[bool, str]:
-    # a periodic pair: every window has many exact copies on both sides
-    tile = np.random.default_rng(11).random((3, 2, 3))
-    synth, exemplar = np.tile(tile, (4, 5, 1))[:10, :9], np.tile(tile, (4, 6, 1))[1:12, 1:11]
-    patch = 3
+def _search_vs_loop(synth, exemplar, patch) -> tuple[bool, str]:
+    """displacement_search against a direct per-pixel loop, with the
+    precision of the estimate it took."""
+    dtype = _kernels._estimate_dtype(patch * patch * synth.shape[2], synth, exemplar)
     fast = _kernels.displacement_search(synth, exemplar, patch)
     wins = np.lib.stride_tricks.sliding_window_view(exemplar, (patch, patch), axis=(0, 1))
     slow = np.empty_like(fast)
@@ -139,7 +138,23 @@ def _check_displacement_search() -> tuple[bool, str]:
             ey, ex = np.unravel_index(np.argmin(ssd), ssd.shape)  # first = smallest (dy, dx)
             slow[y, x] = ey - y, ex - x
     differ = int(np.any(fast != slow, axis=2).sum())
-    return differ == 0, f"{differ} of {fast.shape[0] * fast.shape[1]} offsets differ"
+    return differ == 0, (f"{np.dtype(dtype).name} estimate: {differ} of "
+                         f"{fast.shape[0] * fast.shape[1]} offsets differ")
+
+
+def _check_displacement_search() -> tuple[bool, str]:
+    # a periodic pair: every window has many exact copies on both sides
+    tile = np.random.default_rng(11).random((3, 2, 3))
+    synth, exemplar = np.tile(tile, (4, 5, 1))[:10, :9], np.tile(tile, (4, 6, 1))[1:12, 1:11]
+    return _search_vs_loop(synth, exemplar, 3)
+
+
+def _check_displacement_fallback() -> tuple[bool, str]:
+    # pixels up to 2**56 lie beyond the float32 estimate's range
+    rng = np.random.default_rng(19)
+    synth, exemplar = rng.random((9, 10, 3)) * 2.0**56, rng.random((10, 9, 3)) * 2.0**56
+    ok, detail = _search_vs_loop(synth, exemplar, 3)
+    return ok and detail.startswith("float64"), detail
 
 
 def _check_worker_pool() -> tuple[bool, str]:
@@ -167,6 +182,8 @@ CHECKS = (
     ("optimizer on rosenbrock", _check_optimizer),
     ("patch search vs direct per-pixel loop on a periodic pair", _check_displacement_search),
     ("loss terms on the worker pool vs inline", _check_worker_pool),
+    ("patch search vs direct per-pixel loop beyond the float32 range",
+     _check_displacement_fallback),
 )
 
 

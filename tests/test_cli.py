@@ -16,6 +16,7 @@ import struct
 import subprocess
 import sys
 import types
+import warnings
 import zlib
 from dataclasses import fields
 from pathlib import Path
@@ -133,6 +134,21 @@ class TestSynth:
             "synth", "--replay", str(tmp_path / "out.session.json"),
             "--out", str(tmp_path / "again.ppm"),
         ])
+
+    def test_a_weight_whose_gradient_squares_overflow_runs_to_its_cap(self, tmp_path):
+        # |g|^2 overflows from about --layer-weight 1e160; the run used to stop
+        # at iteration 0 on a failed line search and write the noise start
+        ex = save_rgb(tmp_path / "ex.ppm", n=32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["synth", "--exemplar", ex, "--out", str(tmp_path / "out.ppm"),
+                       "--variant", "gram", "--iterations", "4", "--seed", "0",
+                       "--layer-weight", "1e200"])
+        assert rc == 0
+        session = json.loads((tmp_path / "out.session.json").read_text())
+        trace = session["scales"][0]["trace"]
+        assert (trace["termination"], trace["iterations"]) == ("max_iter", 4)
+        assert trace["values"][-1] < trace["values"][0]
 
     def test_replay_rejects_a_changed_exemplar(self, tmp_path, capsys, monkeypatch):
         rc, ex, _ = self.run_tiny(tmp_path)

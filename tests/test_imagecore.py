@@ -12,6 +12,7 @@ from texsynth.imagecore import (
     TooManyScales,
     as_array,
     build_pyramid,
+    channel_sum,
     downsample2,
     quantize,
     read_image,
@@ -82,6 +83,34 @@ class TestImage:
     def test_as_array_coerces_to_float64(self):
         out = as_array([[1, 2], [3, 4]])
         assert out.dtype == np.float64
+
+
+class TestChannelSum:
+    """channel_sum against numpy's own reduction over axis 2, byte for byte."""
+
+    # signed zeros, subnormals, values whose sums overflow, and ordinary ones
+    EDGE = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1.7e308,
+                     1.0, -0.1, 3.3e-16, 1e16])
+
+    @pytest.mark.parametrize("channels", range(1, 17))
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 65)])
+    def test_bytes_equal_np_sum_and_np_mean(self, shape, channels):
+        rng = np.random.default_rng(channels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for trial in range(6):
+                x = rng.choice(self.EDGE, shape + (channels,))
+                if trial % 2:
+                    x = x * rng.standard_normal(x.shape)
+                z = x + 1j * rng.choice(self.EDGE, x.shape)
+                for data in (x, z, x.transpose(1, 0, 2)):
+                    assert channel_sum(data).tobytes() == np.sum(data, axis=2).tobytes()
+                assert ((channel_sum(x) / channels).tobytes()
+                        == np.mean(x, axis=2).tobytes())
+
+    def test_all_negative_zeros_sum_to_positive_zero_as_numpy(self):
+        x = np.full((2, 2, 3), -0.0)
+        assert np.signbit(np.sum(x, axis=2)).sum() == 0
+        assert channel_sum(x).tobytes() == np.sum(x, axis=2).tobytes()
 
 
 class TestResampling:

@@ -203,6 +203,20 @@ def test_conv_outputs_do_not_depend_on_the_blas_thread_count():
     assert digests[0] == digests[1] and len(digests[0].strip()) == 64
 
 
+@pytest.fixture
+def estimate_paths(monkeypatch):
+    """The estimate precision of every displacement_search call, in order."""
+    paths = []
+    choose = _kernels._estimate_dtype
+
+    def recording(k, *images):
+        paths.append(choose(k, *images))
+        return paths[-1]
+
+    monkeypatch.setattr(_kernels, "_estimate_dtype", recording)
+    return paths
+
+
 class TestDisplacement:
     def test_matches_exhaustive_oracle_on_random_pairs(self):
         rng = np.random.default_rng(4)
@@ -263,7 +277,8 @@ class TestDisplacement:
         )
 
     @pytest.mark.parametrize("budget", [None, 64])
-    def test_non_dyadic_values_match_the_direct_search_exactly(self, monkeypatch, budget):
+    def test_non_dyadic_values_match_the_direct_search_exactly(self, monkeypatch, budget,
+                                                                estimate_paths):
         # a budget of 64 bytes forces one synth row per block and one
         # candidate pair per re-rank chunk
         if budget is not None:
@@ -288,10 +303,12 @@ class TestDisplacement:
                 displacement_search(synth, exemplar, patch),
                 direct_search(synth, exemplar, patch),
             )
+        assert estimate_paths == [np.float32] * len(cases)
 
     @pytest.mark.parametrize("budget", [None, 64])
     @pytest.mark.parametrize("case", ["periodic", "flat", "signed-zeros", "late-duplicates"])
-    def test_duplicate_windows_match_the_direct_search_exactly(self, monkeypatch, budget, case):
+    def test_duplicate_windows_match_the_direct_search_exactly(self, monkeypatch, budget, case,
+                                                               estimate_paths):
         if budget is not None:
             monkeypatch.setattr(_kernels, "_SEARCH_BLOCK_BYTES", budget)
         rng = np.random.default_rng(8)
@@ -331,11 +348,12 @@ class TestDisplacement:
                     displacement_search(synth, exemplar, patch),
                     direct_search(synth, exemplar, patch),
                 ), patch
+        assert estimate_paths == [np.float32] * (3 * len(pairs))
 
     @pytest.mark.parametrize("budget", [None, 64])
     @pytest.mark.parametrize("patch,channels", [(1, 1), (3, 3)])
     def test_blocks_mixing_decided_and_re_ranked_rows_match_the_direct_search(
-            self, monkeypatch, budget, patch, channels):
+            self, monkeypatch, budget, patch, channels, estimate_paths):
         # Against a 0/1 exemplar, a window of 0.5s is at the same exact SSD
         # from every exemplar window, and one of 0.5s and a few 0s and 1s
         # from every window that agrees on those, so their rows re-rank
@@ -354,6 +372,75 @@ class TestDisplacement:
             displacement_search(synth, exemplar, patch),
             direct_search(synth, exemplar, patch),
         )
+        assert estimate_paths == [np.float32]
+
+    @pytest.mark.parametrize("budget", [None, 64])
+    def test_a_tie_heavy_periodic_pair_matches_the_direct_search(self, monkeypatch, budget,
+                                                                 estimate_paths):
+        # two-level tiles whose periods divide neither side: every window has
+        # many exact copies, and many distinct windows tie in exact arithmetic
+        # while their float sums differ
+        if budget is not None:
+            monkeypatch.setattr(_kernels, "_SEARCH_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(10)
+        tile = np.array([0.1, 0.3])[rng.integers(0, 2, (4, 6, 3))]
+        big = np.tile(tile, (6, 5, 1))
+        synth, exemplar = big[1:22, 3:26], big[:23, :19].copy()
+        exemplar[5:9, 4:8] = np.array([0.1, 0.3])[rng.integers(0, 2, (4, 4, 3))]
+        for patch in (3, 5):
+            assert np.array_equal(
+                displacement_search(synth, exemplar, patch),
+                direct_search(synth, exemplar, patch),
+            ), patch
+        assert estimate_paths == [np.float32] * 2
+
+    @pytest.mark.parametrize("case,path", [
+        ("at-the-bounds", np.float32),
+        ("above", np.float64),
+        ("below", np.float64),
+        ("far-beyond", np.float64),
+    ])
+    def test_values_at_and_beyond_the_float32_range_match_the_direct_search(
+            self, case, path, estimate_paths):
+        # nonzero |pixel| from 2**-50 to 2**50 keeps the float32 estimate;
+        # one pixel past either end, or far past them, falls back to float64
+        rng = np.random.default_rng(12)
+
+        def image(shape, lo, hi):
+            # signed values of every binade from 2**lo to 2**hi, and zeros
+            img = np.ldexp(1.0 + rng.random(shape), rng.integers(lo, hi, shape))
+            img *= rng.choice([-1.0, 0.0, 1.0], shape)
+            img.flat[:2] = 2.0**lo, -(2.0**hi)
+            return img
+
+        lo, hi = {"at-the-bounds": (-50, 50), "above": (-50, 50), "below": (-50, 50),
+                  "far-beyond": (-1000, 500)}[case]
+        synth, exemplar = image((11, 10, 3), lo, hi), image((10, 12, 3), lo, hi)
+        if case == "above":
+            exemplar[4, 4, 1] = np.nextafter(2.0**50, np.inf)
+        elif case == "below":
+            synth[6, 5, 2] = np.nextafter(2.0**-50, 0.0)
+        for patch in (1, 3):
+            assert np.array_equal(
+                displacement_search(synth, exemplar, patch),
+                direct_search(synth, exemplar, patch),
+            ), patch
+        assert estimate_paths == [path] * 2
+
+    def test_a_power_of_two_scale_switches_the_path_and_keeps_the_map(self, estimate_paths):
+        # scaling both images by 2**60 scales every SSD exactly, so the
+        # float64 fallback must give the float32 path's map
+        rng = np.random.default_rng(14)
+        synth, exemplar = rng.random((14, 13, 3)), rng.random((12, 15, 3))
+        maps = [displacement_search(synth * s, exemplar * s, 5) for s in (1.0, 2.0**60)]
+        assert np.array_equal(*maps)
+        assert estimate_paths == [np.float32, np.float64]
+
+    def test_windows_of_more_than_2_to_the_20_values_take_float64(self):
+        img = np.full((3, 3, 1), 0.5)
+        assert _kernels._estimate_dtype(1 << 20, img) is np.float32
+        assert _kernels._estimate_dtype((1 << 20) + 1, img) is np.float64
+        assert _kernels._estimate_dtype(9, img, np.zeros((3, 3, 1))) is np.float32
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["synth", "exemplar"])

@@ -139,6 +139,47 @@ class TestTrace:
         assert len(base) == len(other)
         assert all(np.array_equal(x, y) for x, y in zip(base, other))
 
+    @pytest.mark.parametrize("problem", ["rosenbrock", "quadratic"])
+    def test_a_scale_whose_squares_overflow_keeps_every_byte(self, problem):
+        # at 2**600 the gradient's squared norm overflows; the norms and the
+        # cubic fit rescale by a power of two then, which is exact. grad_tol
+        # is absolute, so it is off here.
+        if problem == "rosenbrock":
+            f, x0 = rosenbrock, np.array([-1.2, 1.0])
+            cfg = LbfgsConfig(max_iter=30, grad_tol=0.0)
+        else:
+            rng = np.random.default_rng(4)
+            f = quadratic(spd(rng, 30, spread=100.0), rng.standard_normal(30))
+            x0, cfg = np.zeros(30), LbfgsConfig(max_iter=15, grad_tol=0.0)
+
+        def scaled(x):
+            value, grad = f(x)
+            return 2.0**600 * value, 2.0**600 * grad
+
+        base, other = probed_points(f, x0, cfg), probed_points(scaled, x0, cfg)
+        assert len(base) == len(other)
+        assert all(np.array_equal(x, y) for x, y in zip(base, other))
+        (x, trace), (x_s, trace_s) = minimize(f, x0, cfg), minimize(scaled, x0, cfg)
+        assert x.tobytes() == x_s.tobytes()
+        assert (trace.termination, trace.iterations, trace.n_evals) == (
+            trace_s.termination, trace_s.iterations, trace_s.n_evals)
+        assert trace_s.values == [2.0**600 * v for v in trace.values]
+        assert trace.termination == "max_iter"
+
+    def test_the_norms_are_plain_while_the_squares_are_finite(self):
+        v = np.random.default_rng(2).standard_normal(100)
+        assert optim._square_norm(v) == (float(np.add.reduce(v * v)), 0)
+        top = int(np.frexp(np.max(np.abs(v)))[1])
+        w = v * 2.0**-top  # max |w| in [0.5, 1)
+        assert optim._square_norm(v * 2.0**600) == (float(np.add.reduce(w * w)), 600 + top)
+        assert optim._norm(v * 2.0**600) == 2.0**600 * optim._norm(v)
+
+    def test_a_cubic_fit_of_overflowing_slopes_gives_the_unscaled_step(self):
+        lo, hi = (0.0, 1.0, -3.0), (2.0, 2.5, 4.0)
+        step = _cubic_step(*lo, *hi)
+        big = [(a, 2.0**1000 * f, 2.0**1000 * d) for a, f, d in (lo, hi)]
+        assert step is not None and _cubic_step(*big[0], *big[1]) == step
+
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e7])
     def test_first_probe_lies_at_unit_distance(self, scale):
         x0 = np.array([3.0, -1.0, 2.0])

@@ -28,7 +28,7 @@ def displacement_map(synth, exemplar, patch: int = DEFAULT_PATCH) -> np.ndarray:
     k = patch^2 * channels, the search costs about 2 N' M' k flops in GEMMs,
     float32 ones for pixels whose nonzero magnitudes lie in [2^-50, 2^50]
     and float64 ones otherwise, plus the exact float64 SSDs of the
-    candidates it re-ranks (about 1% of the rows for a 256^2 noise pair);
+    candidates it re-ranks (under 1% of the rows of a 256^2 noise pair);
     its temporaries are bounded per block of synth rows, not by N' M'.
     Periodic and flat images have few distinct windows, so they are cheap.
     """

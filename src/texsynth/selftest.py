@@ -124,10 +124,10 @@ def _check_optimizer() -> tuple[bool, str]:
     )
 
 
-def _search_vs_loop(synth, exemplar, patch) -> tuple[bool, str]:
-    """displacement_search against a direct per-pixel loop, with the
-    precision of the estimate it took."""
-    dtype = _kernels._estimate_dtype(patch * patch * synth.shape[2], synth, exemplar)
+def _search_vs_loop(synth, exemplar, patch) -> tuple[int, int, str]:
+    """Offsets where displacement_search and a direct per-pixel loop
+    differ, the offset count, and the precision of the search's estimate."""
+    took = np.dtype(_kernels._estimate_dtype(patch * patch * synth.shape[2], synth, exemplar))
     fast = _kernels.displacement_search(synth, exemplar, patch)
     wins = np.lib.stride_tricks.sliding_window_view(exemplar, (patch, patch), axis=(0, 1))
     slow = np.empty_like(fast)
@@ -137,24 +137,23 @@ def _search_vs_loop(synth, exemplar, patch) -> tuple[bool, str]:
             ssd = ((wins - window) ** 2).sum(axis=(2, 3, 4))
             ey, ex = np.unravel_index(np.argmin(ssd), ssd.shape)  # first = smallest (dy, dx)
             slow[y, x] = ey - y, ex - x
-    differ = int(np.any(fast != slow, axis=2).sum())
-    return differ == 0, (f"{np.dtype(dtype).name} estimate: {differ} of "
-                         f"{fast.shape[0] * fast.shape[1]} offsets differ")
+    return int(np.any(fast != slow, axis=2).sum()), fast.shape[0] * fast.shape[1], took.name
 
 
 def _check_displacement_search() -> tuple[bool, str]:
     # a periodic pair: every window has many exact copies on both sides
     tile = np.random.default_rng(11).random((3, 2, 3))
     synth, exemplar = np.tile(tile, (4, 5, 1))[:10, :9], np.tile(tile, (4, 6, 1))[1:12, 1:11]
-    return _search_vs_loop(synth, exemplar, 3)
+    differ, total, took = _search_vs_loop(synth, exemplar, 3)
+    return differ == 0, f"{took} estimate: {differ} of {total} offsets differ"
 
 
 def _check_displacement_fallback() -> tuple[bool, str]:
     # pixels up to 2**56 lie beyond the float32 estimate's range
     rng = np.random.default_rng(19)
     synth, exemplar = rng.random((9, 10, 3)) * 2.0**56, rng.random((10, 9, 3)) * 2.0**56
-    ok, detail = _search_vs_loop(synth, exemplar, 3)
-    return ok and detail.startswith("float64"), detail
+    differ, total, took = _search_vs_loop(synth, exemplar, 3)
+    return differ == 0 and took == "float64", f"{took} estimate: {differ} of {total} offsets differ"
 
 
 def _check_worker_pool() -> tuple[bool, str]:

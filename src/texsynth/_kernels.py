@@ -14,8 +14,11 @@ cache across the nine taps. A full-size product per tap, and a full
 padded copy of the input, would each go to memory and back. Banding
 keeps the bits: each image row's tap product is still its own
 (w x ci)(ci x co) GEMM on the same operands, and each output element is
-still the bias (0.0 in the adjoint) plus the nine products, added in
-raster tap order. So the output does not depend on the band size.
+still the first tap's product plus the bias (0.0 in the adjoint), then
+the other eight products added in raster tap order. So the output does
+not depend on the band size. The first product is written straight into
+the output band: addition commutes, so t0 + bias has the bytes of the
+bias-filled band plus t0 that it replaces.
 
 The patch search finds, for every synthesis window a, the exemplar window b
 of least SSD |a - b|^2. Windows with the same bytes have the same answer,
@@ -50,6 +53,8 @@ from .imagecore import InputError
 
 # Byte budget for one band of a conv's output rows, 8 * w * co bytes a row.
 _CONV_BAND_BYTES = 256 << 10
+# the kernel taps after (0, 0), in raster order
+_LATER_TAPS = tuple((u, v) for u in range(3) for v in range(3))[1:]
 
 
 def _nine_shifts(x: np.ndarray, taps: np.ndarray, init: np.ndarray | float) -> np.ndarray:
@@ -72,11 +77,14 @@ def _nine_shifts(x: np.ndarray, taps: np.ndarray, init: np.ndarray | float) -> n
         xb[top : top + last - first, 1:-1] = x[first:last]
         xb[top + last - first : n + 2] = 0.0
         o, p = out[lo : lo + n], prod[:n]
-        o[...] = init
-        for u in range(3):
-            for v in range(3):
-                np.matmul(xb[u : u + n, v : v + w], taps[u, v], out=p)
-                o += p
+        # the first tap's product goes straight into the band and init is
+        # added after it: t0 + init has the bytes of init + t0, and with
+        # init 0.0 it still turns -0.0 into 0.0
+        np.matmul(xb[:n, :w], taps[0, 0], out=o)
+        o += init
+        for u, v in _LATER_TAPS:
+            np.matmul(xb[u : u + n, v : v + w], taps[u, v], out=p)
+            o += p
     return out
 
 

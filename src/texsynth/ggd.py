@@ -23,6 +23,7 @@ MIN_SUBBAND_SAMPLES = 32
 LOG_ZERO_SENTINEL = -1e9
 
 _ORIENTATIONS = ("lh", "hl", "hh")
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class DegenerateSample(InputError):
@@ -47,19 +48,25 @@ def _moment_ratio(beta: float) -> float:
 def fit_ggd(samples) -> GGDParams:
     """Moment-matched GGD fit.
 
-    Needs at least 32 samples with nonzero variance. When the empirical
-    moment ratio falls outside what shapes in [0.05, 20] can produce, the
-    shape clamps to the bracket end and the result is flagged.
+    Needs at least 32 samples, not all equal and with a variance that does
+    not underflow to 0. When the empirical moment ratio falls outside what
+    shapes in [0.05, 20] can produce, the shape clamps to the bracket end
+    and the result is flagged.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < MIN_SUBBAND_SAMPLES:
         raise ValueError(f"need >= {MIN_SUBBAND_SAMPLES} samples, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples contain non-finite values")
-    if np.var(x) == 0.0:
-        raise DegenerateSample("all samples equal; GGD fit undefined")
+    var = np.var(x)
     m1 = np.mean(np.abs(x))
     m2 = np.mean(x**2)
+    # Equal samples can leave np.var a rounding residue of their mean
+    # (48 x 0.1 give 1.9e-34), a deviation below n eps E|x|; only a spread
+    # that small costs the pass that compares the samples. A spread that
+    # underflows gives 0.
+    if var == 0.0 or (np.sqrt(var) <= x.size * _EPS * m1 and np.all(x == x[0])):
+        raise DegenerateSample("all samples equal; GGD fit undefined")
     ratio = float(m1**2 / m2)
     clamped = False
     if ratio <= _moment_ratio(SHAPE_MIN):

@@ -92,17 +92,23 @@ def box_average2(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Output dims are ceil(h/2) x ceil(w/2); edge blocks on odd-sized inputs
     average only the pixels they cover, and the counts, shape (h2, w2, 1),
     say how many that was.
+
+    Each mean is ((((0.0 + a) + b) + c) + d) / count, with a, b, c, d the
+    block's pixels at offsets (0, 0), (0, 1), (1, 0), (1, 1) as far as they
+    exist. Offset (0, 0) covers every block, so the sum starts as a + 0.0,
+    the same bytes as 0.0 + a (-0.0 becomes 0.0 either way), and is written
+    once: no zero-filled accumulator, and no temporary for the division.
     """
-    h2 = -(-data.shape[0] // 2)
-    w2 = -(-data.shape[1] // 2)
-    acc = np.zeros((h2, w2, data.shape[2]))
-    cnt = np.zeros((h2, w2, 1))
-    for di in (0, 1):
-        for dj in (0, 1):
-            sub = data[di::2, dj::2]
-            acc[: sub.shape[0], : sub.shape[1]] += sub
-            cnt[: sub.shape[0], : sub.shape[1]] += 1.0
-    return acc / cnt, cnt
+    acc = data[0::2, 0::2] + 0.0
+    for di, dj in ((0, 1), (1, 0), (1, 1)):
+        sub = data[di::2, dj::2]
+        acc[: sub.shape[0], : sub.shape[1]] += sub
+    # pixels a block spans along each axis: 2, or 1 in a last odd row or column
+    rows, cols = (np.where(np.arange(blocks) < size // 2, 2.0, 1.0)
+                  for blocks, size in zip(acc.shape[:2], data.shape[:2]))
+    cnt = (rows[:, None] * cols)[:, :, None]
+    acc /= cnt
+    return acc, cnt
 
 
 def downsample2(img: Image) -> Image:

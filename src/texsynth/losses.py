@@ -104,7 +104,9 @@ def _gram(f: np.ndarray):
     fm = f.reshape(n, f.shape[2])
 
     def adjoint(diff, w):
-        return (4.0 * w / n**2) * (fm @ diff).reshape(f.shape)
+        cot = fm @ diff
+        cot *= 4.0 * w / n**2
+        return cot.reshape(f.shape)
 
     return fm.T @ fm / n**2, adjoint
 
@@ -130,7 +132,12 @@ def _autocorr(f: np.ndarray):
     fhat = np.fft.rfft2(f, axes=(0, 1))
 
     def adjoint(diff, w):
-        return (4.0 * w / n) * np.fft.irfft2(diff / root * fhat, s=f.shape[:2], axes=(0, 1))
+        # diff / root * fhat, written over diff and then over fhat, which
+        # is why this adjoint may run only once (_feature_loss's one call)
+        diff /= root
+        cot = np.fft.irfft2(np.multiply(diff, fhat, out=fhat), s=f.shape[:2], axes=(0, 1))
+        cot *= 4.0 * w / n
+        return cot
 
     return np.abs(fhat) ** 2 / n**2 * root, adjoint
 
@@ -148,7 +155,10 @@ def circular_autocorr(channel: np.ndarray) -> np.ndarray:
 
 
 def _feature_loss(stat, f: np.ndarray, target: np.ndarray, w: float):
-    """Value w |S(f) - target|^2 of one layer and its cotangent of f."""
+    """Value w |S(f) - target|^2 of one layer and its cotangent of f.
+
+    The adjoint is called once, after the value is taken: it may overwrite
+    diff and what the statistic kept (autocorr's spectrum does)."""
     diff, adjoint = stat(f)
     diff -= target  # in place: the statistic is a fresh array
     return w * np.sum(diff**2), adjoint(diff, w)
@@ -336,7 +346,7 @@ def _layer_terms(name, f, active: dict, weight):
     for term, target in active.items():
         if name in target:
             values[term], term_cot = term_losses[term](f, target[name], weight)
-            cot = term_cot if cot is None else cot + term_cot
+            cot = term_cot if cot is None else np.add(cot, term_cot, out=cot)
     return values, cot
 
 
@@ -403,7 +413,8 @@ def _evaluate(data, cfg, targets: StatTargets, network, pool) -> LossReport:
         if "spectrum" in terms:
             spectrum_distance, sgrad = spectrum.result()
             report_terms["spectrum"] = cfg.beta * spectrum_distance
-            grad = cfg.beta * sgrad if grad is None else grad + cfg.beta * sgrad
+            sgrad *= cfg.beta
+            grad = sgrad if grad is None else np.add(grad, sgrad, out=grad)
     finally:
         for queued in tasks:  # none is left queued when a term raises
             queued.cancel()

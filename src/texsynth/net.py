@@ -14,7 +14,10 @@ the forward pass (ReLU takes subgradient 0 at 0).
 Each layer kind is one forward that returns its adjoint: a closure that
 holds only what the reverse step needs (the kernel, the ReLU's bool mask,
 the pool's counts or argmax). A forward pass records a tape of these, and
-the pullback walks that tape in reverse.
+the pullback walks that tape in reverse. An adjoint may overwrite the
+array it is given, so the pullback hands each one an array it owns: it
+copies the first cotangent a caller supplies and adds the others into
+that copy, and a caller's array never changes.
 """
 
 from __future__ import annotations
@@ -257,17 +260,21 @@ def _maxpool2(x):
 
 def _unpool2(parts, shape):
     """The pool input's cotangent: part i goes back to 2x2 offset i, cropped
-    where the window runs past a ragged edge."""
-    out = np.zeros(shape)
+    where the window runs past a ragged edge.
+
+    Every pixel lies in exactly one window, so each is written once, as
+    part + 0.0: the bytes of 0.0 + part added into zeros."""
+    out = np.empty(shape)
     for part, (di, dj) in zip(parts, _POOL_OFFSETS):
         sub = out[di::2, dj::2]
-        sub += part[: sub.shape[0], : sub.shape[1]]
+        np.add(part[: sub.shape[0], : sub.shape[1]], 0.0, out=sub)
     return out
 
 
 def _layer(net: Network, spec: LayerSpec, x: np.ndarray):
     """One layer on x: (output, adjoint), where adjoint(g) maps the output's
-    cotangent g to a fresh array, the cotangent of x.
+    cotangent g to the cotangent of x. It may overwrite g, and may return it:
+    the ReLU's adjoint masks g in place, the average pool's divides it.
 
     An adjoint keeps the least it needs (a kernel, a bool mask, the pool
     counts or argmax, x's shape) and never x itself. The `_kernels` entry
@@ -278,11 +285,11 @@ def _layer(net: Network, spec: LayerSpec, x: np.ndarray):
         return _kernels.conv3x3(x, kern, bias), lambda g: _kernels.conv3x3_back(g, kern)
     if spec.kind == "relu":
         mask = x > 0
-        return np.maximum(x, 0.0), lambda g: g * mask
+        return np.maximum(x, 0.0), lambda g: np.multiply(g, mask, out=g)
     shape = x.shape
     if net.pool == "avg":
         out, cnt = box_average2(x)
-        return out, lambda g: _unpool2([g / cnt] * 4, shape)
+        return out, lambda g: _unpool2([np.divide(g, cnt, out=g)] * 4, shape)
     out, arg = _maxpool2(x)
     return out, lambda g: _unpool2((np.where(arg == i, g, 0.0) for i in range(4)), shape)
 
@@ -327,7 +334,10 @@ def forward_with_pullback(net: Network, img, wanted, each=None):
     average pooling spreads by the window's true pixel count, max pooling
     routes to the first maximum. It reads the cotangents' keys first and
     each value only when the walk reaches its layer, so a mapping may make
-    its values late; the first layer is reached last.
+    its values late; the first layer is reached last. The walk copies the
+    first cotangent it reads and adds every later one into the running
+    sum, so the adjoints, which may overwrite what they are given, never
+    write into a caller's array.
     """
     acts, tape = _run(net, img, wanted, each)
     layers = {name for name, _, _ in tape}
@@ -346,8 +356,10 @@ def forward_with_pullback(net: Network, img, wanted, each=None):
                         f"cotangent shape {np.shape(cot)} at {name} does not match "
                         f"activation shape {shape}"
                     )
-                cot = np.asarray(cot, dtype=np.float64)
-                grad = cot if grad is None else grad + cot
+                if grad is None:
+                    grad = np.array(cot, dtype=np.float64)
+                else:
+                    grad += np.asarray(cot, dtype=np.float64)
             if grad is not None:
                 grad = adjoint(grad)
         return np.zeros(as_array(img).shape) if grad is None else grad

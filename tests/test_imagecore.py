@@ -11,6 +11,7 @@ from texsynth.imagecore import (
     RasterFormatError,
     TooManyScales,
     as_array,
+    box_average2,
     build_pyramid,
     channel_sum,
     downsample2,
@@ -111,6 +112,33 @@ class TestChannelSum:
         x = np.full((2, 2, 3), -0.0)
         assert np.signbit(np.sum(x, axis=2)).sum() == 0
         assert channel_sum(x).tobytes() == np.sum(x, axis=2).tobytes()
+
+
+def box_average2_filled(data):
+    """box_average2 as it was written first: zero-filled sums and counts."""
+    h2 = -(-data.shape[0] // 2)
+    w2 = -(-data.shape[1] // 2)
+    acc = np.zeros((h2, w2, data.shape[2]))
+    cnt = np.zeros((h2, w2, 1))
+    for di in (0, 1):
+        for dj in (0, 1):
+            sub = data[di::2, dj::2]
+            acc[: sub.shape[0], : sub.shape[1]] += sub
+            cnt[: sub.shape[0], : sub.shape[1]] += 1.0
+    return acc / cnt, cnt
+
+
+@pytest.mark.parametrize("shape", [(6, 8, 3), (5, 7, 2), (7, 6, 1), (1, 9, 2), (8, 1, 3),
+                                   (1, 1, 1)])
+def test_box_average2_keeps_the_zero_filled_bytes(shape):
+    rng = np.random.default_rng(sum(shape))
+    for trial in range(4):
+        x = rng.choice(TestChannelSum.EDGE[:6], shape)  # signed zeros and subnormals
+        if trial % 2:
+            x = np.where(rng.random(shape) < 0.5, x, rng.standard_normal(shape))
+        want = box_average2_filled(x)
+        got = box_average2(x)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestResampling:

@@ -173,6 +173,49 @@ class TestConv:
             assert conv3x3_back(g, kern).tobytes() == want_back, rows
 
 
+def nine_shifts_filled(x, taps, init):
+    """_nine_shifts as it was written first: each band filled with init, then
+    all nine tap products added through the product buffer."""
+    h, w, ci = x.shape
+    co = taps.shape[3]
+    rows = max(1, min(h, _kernels._CONV_BAND_BYTES // (8 * w * co)))
+    xb = np.zeros((rows + 2, w + 2, ci))
+    prod = np.empty((rows, w, co))
+    out = np.empty((h, w, co))
+    for lo in range(0, h, rows):
+        n = min(rows, h - lo)
+        first, last = max(lo - 1, 0), min(lo + n + 1, h)
+        top = first - lo + 1
+        xb[top : top + last - first, 1:-1] = x[first:last]
+        xb[top + last - first : n + 2] = 0.0
+        o, p = out[lo : lo + n], prod[:n]
+        o[...] = init
+        for u in range(3):
+            for v in range(3):
+                np.matmul(xb[u : u + n, v : v + w], taps[u, v], out=p)
+                o += p
+    return out
+
+
+@pytest.mark.parametrize("ci,co", [(1, 1), (3, 16), (16, 3)])
+@pytest.mark.parametrize("h,w", [(6, 8), (5, 7), (1, 6), (7, 1), (1, 1)])
+def test_nine_shifts_keep_the_filled_band_bytes(monkeypatch, h, w, ci, co):
+    # signed zeros and subnormals among ordinary values, in x, taps and bias
+    edge = np.array([0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2e-308])
+    rng = np.random.default_rng(h * 1000 + w * 100 + ci * 10 + co)
+    x = np.where(rng.random((h, w, ci)) < 0.5, rng.choice(edge, (h, w, ci)),
+                 rng.standard_normal((h, w, ci)))
+    x[: h // 2] = rng.choice([0.0, -0.0], (h // 2, w, ci))
+    taps = np.where(rng.random((3, 3, ci, co)) < 0.3, rng.choice(edge, (3, 3, ci, co)),
+                    rng.standard_normal((3, 3, ci, co)))
+    bias = rng.choice([0.0, -0.0, 1e-310, 0.5], co)
+    for rows in (1, h + 3):
+        monkeypatch.setattr(_kernels, "_CONV_BAND_BYTES", rows * 8 * w * co)
+        for init in (bias, 0.0):
+            assert (_kernels._nine_shifts(x, taps, init).tobytes()
+                    == nine_shifts_filled(x, taps, init).tobytes()), (rows, init)
+
+
 # every vgg-mini conv at a 256^2 input: (size, in channels, out channels)
 CONV_DIGESTS = textwrap.dedent("""
     import hashlib

@@ -8,6 +8,7 @@ import pytest
 
 from texsynth.imagecore import InputError
 from texsynth.net import (
+    _unpool2,
     LayerSpec,
     Network,
     NetworkWeights,
@@ -172,6 +173,20 @@ class TestForwardBackward:
 
         forward_with_pullback(net, x, (), unwanted)
 
+    @pytest.mark.parametrize("pool", ["avg", "max"])
+    def test_pull_leaves_the_callers_cotangents_unchanged(self, pool):
+        # the adjoints may overwrite what they are given; relu1_1's
+        # cotangent goes straight into a ReLU's adjoint, pool3's into a pool's
+        net = make_network(in_channels=3, seed=1, pool=pool)
+        rng = np.random.default_rng(10)
+        x = rng.random((13, 10, 3))
+        dims = net.layer_dims(13, 10)
+        for wanted in (["relu1_1"], ["conv1_1", "relu1_1", "pool1", "relu2_1", "pool3"]):
+            cots = {name: rng.standard_normal(dims[name]) for name in wanted}
+            before = {name: cot.tobytes() for name, cot in cots.items()}
+            forward_with_pullback(net, x, wanted)[1](cots)
+            assert {name: cot.tobytes() for name, cot in cots.items()} == before
+
     def test_unknown_layer_request_rejected(self):
         net = small_net()
         with pytest.raises(ValueError, match="unknown layers"):
@@ -192,6 +207,31 @@ class TestForwardBackward:
         net = small_net()
         with pytest.raises(ValueError, match="does not match network input"):
             forward(net, np.zeros((8, 8, 1)), net.names)
+
+
+def unpool2_filled(parts, shape):
+    """_unpool2 as it was written first: each part added into zeros."""
+    out = np.zeros(shape)
+    for part, (di, dj) in zip(parts, ((0, 0), (0, 1), (1, 0), (1, 1))):
+        sub = out[di::2, dj::2]
+        sub += part[: sub.shape[0], : sub.shape[1]]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(6, 8, 3), (5, 7, 2), (7, 6, 1), (1, 9, 2), (8, 1, 3),
+                                   (1, 1, 1)])
+def test_unpool2_keeps_the_zero_filled_bytes(shape):
+    # signed zeros and subnormals among ordinary values
+    edge = np.array([0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2e-308])
+    rng = np.random.default_rng(sum(shape))
+    half = (-(-shape[0] // 2), -(-shape[1] // 2), shape[2])
+    for trial in range(4):
+        g = rng.choice(edge, half)
+        if trial % 2:
+            g = np.where(rng.random(half) < 0.5, g, rng.standard_normal(half))
+        arg = rng.integers(0, 4, half)
+        for parts in ([g] * 4, [np.where(arg == i, g, 0.0) for i in range(4)]):
+            assert _unpool2(parts, shape).tobytes() == unpool2_filled(parts, shape).tobytes()
 
 
 class TestPooling:

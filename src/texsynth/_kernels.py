@@ -16,9 +16,7 @@ keeps the bits: each image row's tap product is still its own
 (w x ci)(ci x co) GEMM on the same operands, and each output element is
 still the first tap's product plus the bias (0.0 in the adjoint), then
 the other eight products added in raster tap order. So the output does
-not depend on the band size. The first product is written straight into
-the output band: addition commutes, so t0 + bias has the bytes of the
-bias-filled band plus t0 that it replaces.
+not depend on the band size.
 
 The patch search finds, for every synthesis window a, the exemplar window b
 of least SSD |a - b|^2. Windows with the same bytes have the same answer,
@@ -77,9 +75,9 @@ def _nine_shifts(x: np.ndarray, taps: np.ndarray, init: np.ndarray | float) -> n
         xb[top : top + last - first, 1:-1] = x[first:last]
         xb[top + last - first : n + 2] = 0.0
         o, p = out[lo : lo + n], prod[:n]
-        # the first tap's product goes straight into the band and init is
-        # added after it: t0 + init has the bytes of init + t0, and with
-        # init 0.0 it still turns -0.0 into 0.0
+        # the first tap's product goes straight into the band, init after
+        # it: t0 + init has the bytes of a band filled with init plus t0,
+        # and with init 0.0 it still turns -0.0 into 0.0
         np.matmul(xb[:n, :w], taps[0, 0], out=o)
         o += init
         for u, v in _LATER_TAPS:

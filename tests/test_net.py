@@ -8,11 +8,11 @@ import pytest
 
 from texsynth.imagecore import InputError
 from texsynth.net import (
-    _unpool2,
     LayerSpec,
     Network,
     NetworkWeights,
     WeightsFormatError,
+    _unpool2,
     forward,
     forward_with_pullback,
     load_weights,
